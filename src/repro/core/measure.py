@@ -13,33 +13,32 @@ Two layers sit on top of the single-config path:
   are served from it without touching the simulator, the RNG or the cost
   ledger (the real-world analogue: a persisted campaign result needs no
   re-run after a crash);
-* **a vectorized batch engine** — :meth:`Measurer.measure_batch` classifies
-  a whole index array, evaluates all not-yet-known configurations through
-  the simulator's batch API, and draws every noise sample in one RNG call.
-  It is bit-identical to looping :meth:`Measurer.measure` — same
-  measurements, same ledger totals, same RNG stream consumption — just an
-  order of magnitude faster.
+* **one vectorized batch engine** — :meth:`Measurer.measure_batch` is
+  bit-identical to looping :meth:`Measurer.measure` (same measurements,
+  ledger buckets, RNG stream, cache/DB contents, quarantine set, fault
+  and drift counters), just an order of magnitude faster.
 
-Under faults and/or drift the batch engine switches to its *wave-based*
-form (:meth:`Measurer.measure_batch_direct`): fault outcomes are keyed
-hash draws that never touch the context RNG, backoff is a deterministic
-ledger charge, and drift factors are keyed functions of the ledger clock
-— so whole attempt-waves of probe outcomes are precomputable without
-side effects.  The engine resolves every configuration's retry schedule
-through vectorized fault draws, evaluates all needed configurations
-through the simulator batch API, draws the noise in one RNG call, and
-replays the one true sequential dependency — the drift clock, a prefix
-sum of prior charges into which measured times feed back — as a cheap
-O(n) scalar arithmetic scan.  The result is bit-identical to the serial
-resilient loop (kept as :meth:`Measurer.measure_batch_serial_resilient`)
-by construction: same values, ledger buckets, RNG stream, quarantine
-sets, fault-stream counters and drift counters.
+The engine is *wave-based*.  Fault outcomes are keyed hash draws that
+never touch the context RNG, backoff is a deterministic ledger charge,
+and drift factors are keyed functions of the ledger clock — so whole
+attempt-waves of probe outcomes are precomputable without side effects.
+Every batch evaluates its not-yet-known configurations through the
+simulator batch API once, resolves each first probe's retry schedule in
+vectorized waves of fault draws, draws all noise in one RNG call, and
+replays the one true sequential dependency — the ledger clock, a prefix
+sum of prior charges into which measured times feed back under drift —
+as an O(n) scalar arithmetic scan.  Without a fault injector the
+schedules are the simulator's own outcomes and there are no waves;
+without drift the scan is plain ledger accumulation in input order.
+:meth:`Measurer.measure_batch_serial_resilient` (the per-config loop) is
+kept as the engine's reference and as its fallback when a retry-budget
+decision disagrees with the exact ledger floats.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -142,9 +141,9 @@ class EngineStats:
     — reported separately from ``n_invalid``, which stays a statement
     about the configuration space.
 
-    ``n_waves`` counts attempt waves executed by the wave-based resilient
-    batch engine (one per vectorized fault-draw round, plus one per
-    fault-free evaluation pass under drift); the serial paths leave it 0.
+    ``n_waves`` counts the batch engine's vectorized fault-draw rounds,
+    so it too stays 0 without a fault injector; the serial paths leave
+    it 0.
     """
 
     n_requested: int = 0
@@ -222,22 +221,6 @@ class EngineStats:
         }
 
 
-def _sequential_sum(start: float, contributions: np.ndarray) -> float:
-    """``start + c0 + c1 + ...`` accumulated strictly left to right.
-
-    ``np.sum`` uses pairwise summation, whose rounding differs from the
-    scalar path's sequential ``+=``; a running cumulative sum reproduces
-    the scalar result bit for bit.
-    """
-    if contributions.size == 0:
-        return start
-    return float(np.cumsum(np.concatenate(([start], contributions)))[-1])
-
-
-# Batch classification codes (internal to measure_batch).
-_FRESH, _CACHED, _DB, _DUP = 0, 1, 2, 3
-
-
 class _ProbeSchedule:
     """Resolved retry schedule of one first-probe job (wave engine).
 
@@ -259,6 +242,25 @@ class _ProbeSchedule:
         self.outcome: str = ""
         self.b_rolls = 0
         self.l_rolls = 0
+
+
+def _fixed_schedule(event: str, outcome: str) -> _ProbeSchedule:
+    sched = _ProbeSchedule()
+    sched.events = (event,)  # shared: immutable
+    sched.broke = ()
+    sched.outcome = outcome
+    return sched
+
+
+#: Schedules of fault-free first probes, indexed by simulator stage code
+#: (OK, build-invalid, launch-invalid).  Without an injector a probe's
+#: only outcome is the simulator's, so every fresh configuration shares
+#: one of these three read-only instances.
+_FAULT_FREE_SCHEDULES = {
+    STAGE_OK_CODE: _fixed_schedule("ok", "ok"),
+    STAGE_BUILD_CODE: _fixed_schedule("binv", "invalid"),
+    STAGE_LAUNCH_CODE: _fixed_schedule("linv", "invalid"),
+}
 
 
 @dataclass(frozen=True)
@@ -544,27 +546,12 @@ class Measurer:
         """Measure many configurations in one vectorized pass.
 
         Bit-identical to looping :meth:`measure` over ``indices`` — same
-        valid/invalid split, same measured values, same ledger totals, same
-        RNG stream consumption, same cache/DB updates — but the simulator,
-        noise and ledger arithmetic run over whole arrays:
-
-        1. classify each position (DB hit / cached / first occurrence /
-           intra-batch duplicate);
-        2. evaluate all first-occurrence configs through the simulator's
-           batch API (:func:`repro.simulator.executor.execute_batch`);
-        3. draw every noise sample in a single RNG call and assemble probe
-           observations and best-of-``repeats`` minima by gather;
-        4. accumulate the ledger from per-position contribution arrays in
-           input order.
-
-        With a fault injector and/or a drift model attached, the batch
-        runs through the *wave-based* resilient engine instead: retry
-        schedules are resolved in vectorized attempt waves of keyed fault
-        draws, the simulator still evaluates whole arrays, noise is still
-        one RNG call, and only the drift-clock recurrence is replayed as
-        a cheap scalar scan — bit-identical to the serial resilient loop
-        (retry, backoff, quarantine per configuration) by construction,
-        at batch-engine throughput.
+        valid/invalid/quarantined split, same measured values, same ledger
+        buckets, same RNG stream consumption, same cache/DB/quarantine
+        updates, same fault and drift counters — with or without a fault
+        injector or drift model.  The simulator, fault draws and noise run
+        over whole arrays; only the ledger clock is replayed as a scalar
+        scan (see :meth:`measure_batch_direct`).
 
         With a ``batcher`` attached the batch is submitted to it instead
         (see the constructor); the broker executes it through
@@ -578,35 +565,64 @@ class Measurer:
         """:meth:`measure_batch` without broker indirection — the entry
         point measurement brokers use to execute submitted batches.
 
-        Faults *or drift* on the context route the batch through the
-        wave-based resilient engine (``measure.batch.waves`` span), which
-        reproduces the serial resilient loop bit for bit while keeping
-        the simulator, fault-draw, and noise work vectorized; the
-        fault-free, drift-free fast path (``measure.batch`` span) is
-        unchanged."""
-        if self.context.faults is not None or self.context.drift is not None:
-            with self.context.tracer.span("measure.batch.waves") as span:
-                return self._measure_batch_waves(indices, span)
+        Every batch, faulted, drifting or neither, runs through the one
+        wave-based engine under one ``measure.batch`` span."""
         with self.context.tracer.span("measure.batch") as span:
-            return self._measure_batch(indices, span)
+            return self._measure_batch_waves(indices, span)
 
     def measure_batch_serial_resilient(
         self, indices: Sequence[int]
     ) -> MeasurementSet:
-        """The serial per-config resilient loop (one :meth:`measure_outcome`
-        per position, in order) — the reference the wave engine must match
-        bit for bit.  Kept public as the equivalence baseline and for perf
-        comparison; production paths use :meth:`measure_batch_direct`."""
+        """The serial per-config loop (one :meth:`measure_outcome` per
+        position, in order) — the reference the batch engine must match
+        bit for bit, and its fallback on a retry-budget rounding conflict.
+        Kept public as the equivalence baseline and for perf comparison;
+        production paths use :meth:`measure_batch_direct`."""
         with self.context.tracer.span("measure.batch.resilient") as span:
             return self._measure_batch_resilient(indices, span)
+
+    def _trace_batch(self, span, before: EngineStats, n_quarantined: int) -> None:
+        """Fold one batch's engine counters (``self.stats`` minus
+        ``before``) into the trace: the ``measure.*`` set on every batch,
+        the ``fault.*`` set and ``measure.waves`` only with a fault
+        injector attached, so fault-free and drift-only traces carry no
+        fault block.  The span's ``quarantined`` attribute is the
+        ``n_quarantined`` positions the batch returned quarantined (the
+        ``fault.quarantined`` counter only counts new write-offs).
+        Aggregate per batch — never per configuration — so a disabled
+        tracer costs one check."""
+        tracer = self.context.tracer
+        if not tracer.enabled:
+            return
+        s = self.stats
+        attrs = {
+            "n": s.n_requested - before.n_requested,
+            "simulated": s.n_simulated - before.n_simulated,
+            "cache_hits": s.n_cache_hits - before.n_cache_hits,
+            "db_hits": s.n_db_hits - before.n_db_hits,
+            "invalid": s.n_invalid - before.n_invalid,
+        }
+        tracer.count("measure.requested", attrs["n"])
+        for key in ("simulated", "cache_hits", "db_hits", "invalid"):
+            tracer.count(f"measure.{key}", attrs[key])
+        if self.context.faults is not None:
+            faults = {
+                "transient": s.n_transient - before.n_transient,
+                "timeouts": s.n_timeouts - before.n_timeouts,
+                "retries": s.n_retries - before.n_retries,
+                "quarantined": s.n_quarantined - before.n_quarantined,
+            }
+            for key, value in faults.items():
+                tracer.count(f"fault.{key}", value)
+            waves = s.n_waves - before.n_waves
+            tracer.count("measure.waves", waves)
+            attrs.update(faults, quarantined=n_quarantined, waves=waves)
+        span.set(**attrs)
 
     def _measure_batch_resilient(
         self, indices: Sequence[int], span
     ) -> MeasurementSet:
-        stats0 = EngineStats(**{
-            k: getattr(self.stats, k)
-            for k in ("n_transient", "n_retries", "n_timeouts", "n_quarantined")
-        })
+        before = replace(self.stats)
         idx = [int(i) for i in indices]
         ok_idx: List[int] = []
         ok_times: List[float] = []
@@ -621,24 +637,7 @@ class Measurer:
                 quarantined_idx.append(i)
             else:
                 bad_idx.append(i)
-        tracer = self.context.tracer
-        if tracer.enabled:
-            s = self.stats
-            tracer.count("measure.requested", len(idx))
-            tracer.count("fault.transient", s.n_transient - stats0.n_transient)
-            tracer.count("fault.timeouts", s.n_timeouts - stats0.n_timeouts)
-            tracer.count("fault.retries", s.n_retries - stats0.n_retries)
-            tracer.count(
-                "fault.quarantined", s.n_quarantined - stats0.n_quarantined
-            )
-            span.set(
-                n=len(ok_idx) + len(bad_idx) + len(quarantined_idx),
-                invalid=len(bad_idx),
-                quarantined=len(quarantined_idx),
-                transient=s.n_transient - stats0.n_transient,
-                timeouts=s.n_timeouts - stats0.n_timeouts,
-                retries=s.n_retries - stats0.n_retries,
-            )
+        self._trace_batch(span, before, len(quarantined_idx))
         return MeasurementSet(
             indices=np.asarray(ok_idx, dtype=np.int64),
             times_s=np.asarray(ok_times, dtype=np.float64),
@@ -646,7 +645,7 @@ class Measurer:
             quarantined_indices=np.asarray(quarantined_idx, dtype=np.int64),
         )
 
-    # -- wave-based resilient batch engine -------------------------------------
+    # -- the batch engine (wave-based) -----------------------------------------
 
     def _resolve_probe_jobs(
         self,
@@ -749,33 +748,39 @@ class Measurer:
         return scheds, waves
 
     def _measure_batch_waves(self, indices: Sequence[int], span) -> MeasurementSet:
-        """Wave-based resilient batch engine: vectorized measurement under
-        faults and/or drift, bit-identical to the serial resilient loop.
+        """The batch engine: vectorized measurement, bit-identical to the
+        serial per-config loop with or without faults and drift.
 
         Phases:
 
-        1. *classify & resolve* — evaluate every not-in-DB configuration
-           through the simulator batch API once; resolve the retry
+        1. *classify & resolve* — evaluate every configuration the batch
+           has to probe through the simulator batch API once (configs
+           cached at entry too, when the fault profile can reset the
+           device and so revive them); under faults, resolve the retry
            schedule of every first-probe job in vectorized attempt waves
-           of keyed fault draws (device resets that revive cached
-           configurations trigger rare on-demand re-resolutions with
-           continued attempt counters); walk the positions once to fix
-           each position's outcome and RNG draw count;
-        2. *draw* — all measurement noise in a single RNG call, all
-           outlier uniforms in one vectorized peek;
+           of keyed fault draws (reset-revived configurations trigger
+           rare on-demand re-resolutions with continued attempt
+           counters), while fault-free probes take the simulator's
+           outcome; walk the positions once to fix each position's
+           outcome and RNG draw count;
+        2. *draw* — all measurement noise in a single RNG call, gathered
+           into per-position probe factors and best-of-``repeats``
+           minima; all outlier uniforms in one vectorized peek;
         3. *commit scan* — an O(n) scalar arithmetic replay of the ledger
-           charges in serial order (the drift clock is a prefix sum of
-           charges into which measured times feed back), applying drift
-           factors from per-regime batched quirk draws and re-validating
-           every budget decision against the exact ledger floats;
+           charges in serial order (under drift the clock is a prefix sum
+           of charges into which measured times feed back), applying
+           drift factors from per-regime batched quirk draws and
+           re-validating every budget decision against the exact ledger
+           floats;
         4. *commit* — ledger buckets, stats, caches, quarantine, injector
            counters, drift counters, DB write-through, trace counters.
 
         All phases before 4 are pure; a budget-rounding disagreement in
         phase 3 restores the RNG state and re-runs the batch through the
-        serial loop inside the same ``measure.batch.waves`` span.
+        serial loop inside the same ``measure.batch`` span.
         """
         t0 = time.perf_counter()
+        before = replace(self.stats)
         ctx = self.context
         faults = ctx.faults
         drift = ctx.drift
@@ -787,31 +792,27 @@ class Measurer:
         kernel_name = self.spec.name
         device_name = device.name
         db = self.db
+        cache = self._cache
         idx: List[int] = [int(i) for i in indices]
         n = len(idx)
 
-        # -- unique indices, DB state at entry, batch simulation ------------
-        uniq: List[int] = []
-        seen: set = set()
-        for i in idx:
-            if i not in seen:
-                seen.add(i)
-                uniq.append(i)
-        db_known: Dict[int, Optional[float]] = {}
-        if db is not None:
-            for i in uniq:
-                if db.has(kernel_name, device_name, i):
-                    db_known[i] = db.get(kernel_name, device_name, i)
-        # Everything the DB cannot serve may need a base time — including
-        # configurations cached at entry, which a device reset can revive.
-        sim_ids = [i for i in uniq if i not in db_known]
-        pos_of: Dict[int, int] = {i: j for j, i in enumerate(sim_ids)}
+        # -- unique indices, DB and cache state at entry, batch simulation --
+        uniq = list(dict.fromkeys(idx))
+        db_known: Dict[int, Optional[float]] = (
+            db.get_many(kernel_name, device_name, uniq) if db is not None else {}
+        )
+        live = [i for i in uniq if i not in db_known]
+        # The batch's view of the compile cache: only its own indices are
+        # ever looked up, so copying those (not the whole cache) suffices.
+        local_cache = {i: cache[i] for i in live if i in cache}
+        # A configuration cached at entry needs a base time only if a
+        # device reset can wipe the cache mid-batch and revive it.
+        revive = faults is not None and faults.profile.p_device_reset > 0.0
+        sim_ids = live if revive else [i for i in live if i not in local_cache]
         stage_of: Dict[int, int] = {}
         base_of: Dict[int, Optional[float]] = {}
         compile_of: Dict[int, float] = {}
         tuples_of: Dict[int, tuple] = {}
-        cfg_hashes = np.empty(0, dtype=np.uint64)
-        okey_hashes = np.empty(0, dtype=np.uint64)
         if sim_ids:
             sim_arr = np.asarray(sim_ids, dtype=np.int64)
             tuples = self.spec.config_tuples(sim_arr)
@@ -822,32 +823,43 @@ class Measurer:
             compile_costs = device.compile_time_base_s + (
                 device.compile_time_per_unroll_s * (wb.unroll_factor - 1)
             )
-            for j, i in enumerate(sim_ids):
-                stage_of[i] = int(be.stages[j])
-                base_of[i] = (
-                    float(be.times[j])
-                    if be.stages[j] == STAGE_OK_CODE
-                    else None
-                )
-                compile_of[i] = float(compile_costs[j])
-                tuples_of[i] = tuples[j]
-            # Fault config keys and drift quirk keys share one structure:
-            # part64((kernel, config_tuple)) per configuration.
-            if faults is not None or (
-                drift is not None and drift.profile.contention_sigma > 0.0
-            ):
-                int_matrix = self.spec.space.int_values_matrix(sim_arr)
+            stages = be.stages.tolist()
+            stage_of = dict(zip(sim_ids, stages))
+            base_of = {
+                i: (t if s == STAGE_OK_CODE else None)
+                for i, s, t in zip(sim_ids, stages, be.times.tolist())
+            }
+            compile_of = dict(zip(sim_ids, compile_costs.tolist()))
+            if faults is not None:
+                tuples_of = dict(zip(sim_ids, tuples))
+        # Fault config keys and drift quirk keys share one structure:
+        # part64((kernel, config_tuple)) per configuration; outlier keys
+        # are part64((kernel, index)).  Rows follow `live`.
+        pos_of: Dict[int, int] = {}
+        cfg_hashes = np.empty(0, dtype=np.uint64)
+        okey_hashes = np.empty(0, dtype=np.uint64)
+        p_outlier = faults.profile.p_outlier if faults is not None else 0.0
+        need_cfg = faults is not None or (
+            drift is not None and drift.profile.contention_sigma > 0.0
+        )
+        if live and (need_cfg or p_outlier > 0.0):
+            live_arr = np.asarray(live, dtype=np.int64)
+            pos_of = {i: j for j, i in enumerate(live)}
+            if need_cfg:
+                int_matrix = self.spec.space.int_values_matrix(live_arr)
                 cfg_hashes = DriftModel.quirk_key_hashes(kernel_name, int_matrix)
-            if faults is not None and faults.profile.p_outlier > 0.0:
-                okey_hashes = faults.index_key_hashes(kernel_name, sim_arr)
+            if p_outlier > 0.0:
+                okey_hashes = faults.index_key_hashes(kernel_name, live_arr)
 
         # -- phase 1a: resolve first-probe retry schedules in waves ---------
+        # Quarantine only exists under faults (as in measure_outcome).
+        quarantine = self.quarantine if faults is not None else ()
         scheds_by_index: Dict[int, _ProbeSchedule] = {}
         waves = 0
         if faults is not None:
             new_ids = [
-                i for i in sim_ids
-                if i not in self._cache and i not in self.quarantine
+                i for i in live
+                if i not in local_cache and i not in quarantine
             ]
             if new_ids:
                 jsel = np.asarray([pos_of[i] for i in new_ids], dtype=np.int64)
@@ -868,49 +880,43 @@ class Measurer:
                 )
                 waves += w
                 scheds_by_index = dict(zip(new_ids, scheds))
-        elif sim_ids:
-            waves += 1  # one fault-free evaluation wave under drift
 
         # -- phase 1b: classification scan (no RNG, no ledger floats) -------
         # Entry tuples: (type, schedule-or-None, base-or-None) per position.
         E_DB, E_CACHED_OK, E_CACHED_INV, E_FRESH, E_QUAR = range(5)
-        local_cache: Dict[int, Optional[float]] = dict(self._cache)
+        reset_seen = False
         q_local: set = set()
         resolved: set = set()
         entries: List[tuple] = []
-        counts = np.zeros(n, dtype=np.int64)
+        counts = [0] * n
+        fresh_draws = 1 + repeats if sigma != 0.0 else 0
+        cached_draws = repeats if sigma != 0.0 else 0
         consumed_b: Dict[int, int] = {}
         consumed_l: Dict[int, int] = {}
         outlier_n: Dict[int, int] = {}
         outlier_jobs: List[tuple] = []  # (position, index, in-batch roll no.)
-        used_scheds: List[_ProbeSchedule] = []
-        p_outlier = faults.profile.p_outlier if faults is not None else 0.0
         for p, i in enumerate(idx):
             if db is not None and (i in db_known or i in resolved):
                 entries.append((E_DB, None, None))
                 continue
-            if faults is not None and (i in self.quarantine or i in q_local):
+            if i in quarantine or i in q_local:
                 entries.append((E_QUAR, None, None))
                 continue
             if i in local_cache:
                 base = local_cache[i]
                 if base is None:
                     entries.append((E_CACHED_INV, None, None))
-                    if db is not None:
-                        resolved.add(i)
                 else:
                     entries.append((E_CACHED_OK, None, base))
-                    if sigma != 0.0:
-                        counts[p] = repeats
-                    if db is not None:
-                        resolved.add(i)
+                    counts[p] = cached_draws
                     if p_outlier > 0.0:
                         a = outlier_n.get(i, 0)
                         outlier_n[i] = a + 1
                         outlier_jobs.append((p, i, a))
+                if db is not None:
+                    resolved.add(i)
                 continue
-            # Fresh: a first probe (faults) or a plain evaluation (drift
-            # only) — either way the schedule codes drive the commit scan.
+            # Fresh: a first probe — its schedule drives the commit scan.
             if faults is not None:
                 sched = scheds_by_index.pop(i, None)
                 if sched is None:
@@ -934,26 +940,15 @@ class Measurer:
                     waves += w
                 consumed_b[i] = consumed_b.get(i, 0) + sched.b_rolls
                 consumed_l[i] = consumed_l.get(i, 0) + sched.l_rolls
-                used_scheds.append(sched)
+                if revive and "reset" in sched.events:
+                    local_cache.clear()
+                    reset_seen = True
             else:
-                sched = _ProbeSchedule()
-                stage = stage_of[i]
-                if stage == STAGE_OK_CODE:
-                    sched.events.append("ok")
-                    sched.outcome = "ok"
-                elif stage == STAGE_BUILD_CODE:
-                    sched.events.append("binv")
-                    sched.outcome = "invalid"
-                else:
-                    sched.events.append("linv")
-                    sched.outcome = "invalid"
+                sched = _FAULT_FREE_SCHEDULES[stage_of[i]]
             entries.append((E_FRESH, sched, base_of[i]))
-            if "reset" in sched.events:
-                local_cache.clear()
             if sched.outcome == "ok":
                 local_cache[i] = base_of[i]
-                if sigma != 0.0:
-                    counts[p] = 1 + repeats
+                counts[p] = fresh_draws
                 if db is not None:
                     resolved.add(i)
                 if p_outlier > 0.0:
@@ -968,14 +963,29 @@ class Measurer:
                 q_local.add(i)
 
         # -- phase 2: all noise in one RNG call, outliers in one peek -------
-        total_draws = int(counts.sum())
+        # A position's draws are its probe launch (fresh configurations
+        # only) followed by its `repeats` best-of launches.  Best-of is
+        # taken as t * min(f): rounding t * f is monotonic in f for t > 0,
+        # so this equals the minimum of the rounded products exactly.
+        count_arr = np.asarray(counts, dtype=np.int64)
+        total_draws = int(count_arr.sum())
         rng_state = None
+        probe_f: List[float] = []
+        best_f: List[float] = []
         if total_draws:
-            rng_state = model.rng.bit_generator.state
+            if faults is not None:  # only fault schedules can conflict
+                rng_state = model.rng.bit_generator.state
             factors = np.exp(sigma * model.rng.standard_normal(total_draws))
-        else:
-            factors = np.empty(0)
-        starts = np.cumsum(counts) - counts
+            ends = np.cumsum(count_arr)
+            drawn = count_arr > 0
+            last = ends[drawn] - repeats
+            best = np.zeros(n)
+            best[drawn] = factors[last[:, None] + np.arange(repeats)].min(axis=1)
+            probed = count_arr > repeats
+            probe = np.zeros(n)
+            probe[probed] = factors[ends[probed] - count_arr[probed]]
+            best_f = best.tolist()
+            probe_f = probe.tolist()
         outlier_hit_at: Dict[int, bool] = {}
         if outlier_jobs:
             khs = np.asarray(
@@ -1073,11 +1083,7 @@ class Measurer:
                 else:
                     t2 = base
                 r += t2 * repeats
-                if sigma != 0.0:
-                    s0 = int(starts[p])
-                    value = float((t2 * factors[s0:s0 + repeats]).min())
-                else:
-                    value = float(t2)
+                value = float(t2 * best_f[p]) if sigma != 0.0 else float(t2)
                 if outlier_hit_at.get(p):
                     value = value * outlier_factor
                     inj_out += 1
@@ -1089,6 +1095,14 @@ class Measurer:
             spent0 = c + r + f_ + ry
             bi = 0
             for a_no, ev in enumerate(sched.events, start=1):
+                if ev == "ok":  # compile, then the probe launch
+                    c += compile_of[i]
+                    if drift is not None:
+                        t1 = base * drift_factor((c + r + f_ + ry) + idle, i)
+                    else:
+                        t1 = base
+                    r += float(t1 * probe_f[p]) if sigma != 0.0 else t1
+                    continue
                 if ev == "tb":
                     f_ += FAILED_BUILD_COST_S
                     inj_tb += 1
@@ -1109,17 +1123,6 @@ class Measurer:
                     c += compile_of[i]
                     f_ += FAILED_LAUNCH_COST_S
                     inj_tl += 1
-                else:  # "ok": compile, then the probe launch
-                    c += compile_of[i]
-                    if drift is not None:
-                        t1 = base * drift_factor((c + r + f_ + ry) + idle, i)
-                    else:
-                        t1 = base
-                    if sigma != 0.0:
-                        measured = float(t1 * factors[int(starts[p])])
-                    else:
-                        measured = t1
-                    r += measured
                 if ev in ("tb", "reset", "hang", "tl"):
                     exceeded = (c + r + f_ + ry) - spent0 > policy.config_budget_s
                     if exceeded != sched.broke[bi]:
@@ -1138,11 +1141,7 @@ class Measurer:
                 else:
                     t2 = base
                 r += t2 * (repeats - 1)
-                if sigma != 0.0:
-                    s0 = int(starts[p]) + 1
-                    value = float((t2 * factors[s0:s0 + repeats]).min())
-                else:
-                    value = float(t2)
+                value = float(t2 * best_f[p]) if sigma != 0.0 else float(t2)
                 if outlier_hit_at.get(p):
                     value = value * outlier_factor
                     inj_out += 1
@@ -1171,8 +1170,9 @@ class Measurer:
         ledger.run_s = float(r)
         ledger.failed_s = float(f_)
         ledger.retry_s = float(ry)
-        self._cache.clear()
-        self._cache.update(local_cache)
+        if reset_seen:
+            cache.clear()
+        cache.update(local_cache)
         self.quarantine |= q_local
         if faults is not None:
             for i, nb in consumed_b.items():
@@ -1192,227 +1192,25 @@ class Measurer:
             drift.shifts_seen = d_shifts
             drift.applied = d_applied
         if db is not None and values:
-            db.put_many(kernel_name, device_name, dict(values))
-        n_transient = inj_tb + inj_tl + inj_reset
+            db.put_many(kernel_name, device_name, values)
         stats = self.stats
         stats.n_requested += n
         stats.n_simulated += n_sim
         stats.n_cache_hits += n_cache
         stats.n_db_hits += n_db
         stats.n_invalid += n_inv
-        stats.n_transient += n_transient
+        stats.n_transient += inj_tb + inj_tl + inj_reset
         stats.n_timeouts += inj_hang
         stats.n_retries += st_retries
         stats.n_quarantined += st_quar
         stats.n_waves += waves
         stats.elapsed_s += time.perf_counter() - t0
-
-        tracer = ctx.tracer
-        if tracer.enabled:
-            tracer.count("measure.requested", n)
-            tracer.count("fault.transient", n_transient)
-            tracer.count("fault.timeouts", inj_hang)
-            tracer.count("fault.retries", st_retries)
-            tracer.count("fault.quarantined", st_quar)
-            tracer.count("measure.waves", waves)
-            span.set(
-                n=n,
-                invalid=len(bad_idx),
-                quarantined=len(quarantined_idx),
-                transient=n_transient,
-                timeouts=inj_hang,
-                retries=st_retries,
-                waves=waves,
-            )
+        self._trace_batch(span, before, len(quarantined_idx))
         return MeasurementSet(
             indices=np.asarray(ok_idx, dtype=np.int64),
             times_s=np.asarray(ok_times, dtype=np.float64),
             invalid_indices=np.asarray(bad_idx, dtype=np.int64),
             quarantined_indices=np.asarray(quarantined_idx, dtype=np.int64),
-        )
-
-    def _measure_batch(self, indices: Sequence[int], span) -> MeasurementSet:
-        t0 = time.perf_counter()
-        idx: List[int] = [int(i) for i in indices]
-        n = len(idx)
-        repeats = self.repeats
-        model = self.context.measurement
-        sigma = model.device.timing_noise_sigma
-        device = self.context.device.spec
-        kernel_name = self.spec.name
-        device_name = device.name
-        db = self.db
-
-        kinds = np.empty(n, dtype=np.int8)
-        true_vals = np.full(n, np.nan)
-        results = np.full(n, np.nan)
-        valid = np.zeros(n, dtype=bool)
-        src_pos = np.full(n, -1, dtype=np.int64)
-        fresh_list: List[int] = []
-        fresh_positions: List[int] = []
-        # index -> position of the occurrence a later duplicate would be
-        # served from.  With a DB attached that is any earlier measured
-        # position (its value is in the DB by the time the duplicate runs in
-        # the scalar loop); without one, only fresh occurrences matter
-        # (cache-served re-measures legitimately redraw noise every time).
-        pending: Dict[int, int] = {}
-
-        for p, i in enumerate(idx):
-            if db is not None and db.has(kernel_name, device_name, i):
-                kinds[p] = _DB
-                v = db.get(kernel_name, device_name, i)
-                if v is not None:
-                    results[p] = v
-                    valid[p] = True
-            elif i in pending:
-                kinds[p] = _DUP
-                src_pos[p] = pending[i]
-            elif i in self._cache:
-                kinds[p] = _CACHED
-                t = self._cache[i]
-                if t is not None:
-                    true_vals[p] = t
-                if db is not None:
-                    pending[i] = p
-            else:
-                kinds[p] = _FRESH
-                fresh_list.append(i)
-                fresh_positions.append(p)
-                pending[i] = p
-
-        # -- simulate all first-occurrence configs in one batch --------------
-        compile_c = np.zeros(n)
-        failed_c = np.zeros(n)
-        if fresh_list:
-            fresh_arr = np.asarray(fresh_list, dtype=np.int64)
-            fp = np.asarray(fresh_positions, dtype=np.int64)
-            tuples = self.spec.config_tuples(fresh_arr)
-            wb = self.spec.workload_batch(fresh_arr, device, config_tuples=tuples)
-            be = execute_batch(
-                wb, device, kernel_name=kernel_name, config_tuples=tuples
-            )
-            true_vals[fp] = be.times
-            build_bad = be.stages == STAGE_BUILD_CODE
-            ok = be.stages == STAGE_OK_CODE
-            failed_c[fp[build_bad]] = FAILED_BUILD_COST_S
-            failed_c[fp[~build_bad & ~ok]] = FAILED_LAUNCH_COST_S
-            compile_costs = device.compile_time_base_s + (
-                device.compile_time_per_unroll_s * (wb.unroll_factor - 1)
-            )
-            compile_c[fp[~build_bad]] = compile_costs[~build_bad]
-            for j, i in enumerate(fresh_list):
-                t = be.times[j]
-                self._cache[i] = float(t) if ok[j] else None
-
-        mask_fc = (kinds == _FRESH) | (kinds == _CACHED)
-        valid[mask_fc] = ~np.isnan(true_vals[mask_fc])
-        mask_dup = kinds == _DUP
-        dup_idx = np.nonzero(mask_dup)[0]
-        if dup_idx.size:
-            valid[dup_idx] = valid[src_pos[dup_idx]]
-            if db is None:
-                true_vals[dup_idx] = true_vals[src_pos[dup_idx]]
-
-        # -- one RNG call for every noise draw, in scalar-loop order ----------
-        # A zero-sigma device draws nothing at all (matching observe /
-        # observe_many, which skip the RNG entirely at sigma == 0), so the
-        # generator state is identical whichever path measured.
-        fresh_valid = (kinds == _FRESH) & valid
-        counts = np.zeros(n, dtype=np.int64)
-        if sigma != 0.0:
-            counts[fresh_valid] = 1 + repeats
-            counts[(kinds == _CACHED) & valid] = repeats
-            if db is None:
-                counts[mask_dup & valid] = repeats
-        total_draws = int(counts.sum())
-        if total_draws:
-            factors = np.exp(sigma * model.rng.standard_normal(total_draws))
-        else:
-            factors = np.empty(0)
-        starts = np.cumsum(counts) - counts
-
-        obs = np.zeros(n)
-        obs[fresh_valid] = true_vals[fresh_valid]
-        if sigma != 0.0:
-            obs[fresh_valid] *= factors[starts[fresh_valid]]
-            meas_mask = counts >= repeats  # positions that redraw best-of
-            if meas_mask.any():
-                # Measurement draws are the last `repeats` of each position.
-                m_starts = starts[meas_mask] + counts[meas_mask] - repeats
-                gathered = factors[m_starts[:, None] + np.arange(repeats)]
-                results[meas_mask] = (
-                    true_vals[meas_mask][:, None] * gathered
-                ).min(axis=1)
-        else:
-            # Noise-free: best-of-N of identical values is the true time.
-            meas_mask = fresh_valid | ((kinds == _CACHED) & valid)
-            if db is None:
-                meas_mask = meas_mask | (mask_dup & valid)
-            results[meas_mask] = true_vals[meas_mask]
-        if db is not None and dup_idx.size:
-            results[dup_idx] = results[src_pos[dup_idx]]
-
-        # -- ledger, accumulated in input order --------------------------------
-        run_c = np.zeros((n, 2))
-        run_c[fresh_valid, 0] = obs[fresh_valid]
-        run_c[fresh_valid, 1] = true_vals[fresh_valid] * (repeats - 1)
-        recharged = (kinds == _CACHED) & valid
-        if db is None:
-            recharged = recharged | (mask_dup & valid)
-        run_c[recharged, 1] = true_vals[recharged] * repeats
-        ledger = self.context.ledger
-        ledger.compile_s = _sequential_sum(ledger.compile_s, compile_c)
-        ledger.run_s = _sequential_sum(ledger.run_s, run_c.ravel())
-        ledger.failed_s = _sequential_sum(ledger.failed_s, failed_c)
-
-        # -- write-through + stats --------------------------------------------
-        if db is not None and pending:
-            items = {
-                i: (float(results[p]) if valid[p] else None)
-                for i, p in pending.items()
-            }
-            db.put_many(kernel_name, device_name, items)
-
-        stats = self.stats
-        stats.n_requested += n
-        stats.n_simulated += len(fresh_list)
-        n_dup = int(dup_idx.size)
-        n_db = int(np.count_nonzero(kinds == _DB))
-        if db is None:
-            n_cached = int(np.count_nonzero(kinds == _CACHED)) + n_dup
-            n_db_served = n_db
-        else:
-            n_cached = int(np.count_nonzero(kinds == _CACHED))
-            n_db_served = n_db + n_dup
-        stats.n_cache_hits += n_cached
-        stats.n_db_hits += n_db_served
-        n_bad = int(np.count_nonzero(~valid))
-        stats.n_invalid += n_bad
-        stats.elapsed_s += time.perf_counter() - t0
-
-        # Fold the engine counters into the trace (aggregate per batch —
-        # never per configuration, so a disabled tracer costs a handful of
-        # no-op calls for the whole sweep).
-        tracer = self.context.tracer
-        if tracer.enabled:
-            tracer.count("measure.requested", n)
-            tracer.count("measure.simulated", len(fresh_list))
-            tracer.count("measure.cache_hits", n_cached)
-            tracer.count("measure.db_hits", n_db_served)
-            tracer.count("measure.invalid", n_bad)
-            span.set(
-                n=n,
-                simulated=len(fresh_list),
-                cache_hits=n_cached,
-                db_hits=n_db_served,
-                invalid=n_bad,
-            )
-
-        idx_arr = np.asarray(idx, dtype=np.int64)
-        return MeasurementSet(
-            indices=idx_arr[valid],
-            times_s=results[valid],
-            invalid_indices=idx_arr[~valid],
         )
 
     def sample_and_measure(

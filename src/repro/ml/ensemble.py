@@ -9,22 +9,22 @@ Membership of a sample in a member's training set becomes a per-member
 sample *weight* in the loss (1/|fold kept| or 0), which preserves exact
 leave-one-fold-out semantics.
 
-Two training engines share that tensor layout:
+One training loop runs on that tensor layout, with **member-wise
+early stopping with active-set compaction**: each member's loss is
+tracked separately, and a member whose own loss has plateaued for
+``freeze_patience`` epochs is *frozen* — its weights are written back
+and its rows are physically removed from the ``(k, n, h)``
+forward/backward tensors and the Adam state, so the per-epoch cost
+shrinks as members finish instead of every member paying until the
+slowest one converges.  A global criterion on the *mean* loss stops the
+whole fit.  ``fit_mode`` picks a preset of that loop:
 
-* ``fit_mode="adaptive"`` (the default) adds **member-wise early
-  stopping with active-set compaction**: each member's loss is tracked
-  separately, and a member whose own loss has plateaued for
-  ``freeze_patience`` epochs is *frozen* — its weights are written back
-  and its rows are physically removed from the ``(k, n, h)``
-  forward/backward tensors and the Adam state, so the per-epoch cost
-  shrinks as members finish instead of every member paying until the
-  slowest one converges.  With freezing disabled
-  (``freeze_patience=math.inf``) the adaptive loop is bit-identical to
-  classic — same weights, same loss curve, same RNG draws — which is the
-  property suite's anchor (``tests/test_ml_adaptive.py``).
-* ``fit_mode="classic"`` keeps the original global-stop loop (all k
-  members train until the *mean* loss plateaus) as the reference
-  baseline the adaptive engine is gated against
+* ``"adaptive"`` (the default) freezes members as they converge;
+* ``"classic"`` never freezes (``freeze_patience`` is ``math.inf``), so
+  all k members train until the mean loss plateaus — the original
+  global-stop loop, reproduced bit for bit (same weights, loss curve and
+  RNG draws; ``tests/test_ml_adaptive.py`` keeps that loop as its
+  reference).  It is the baseline the adaptive preset is gated against
   (``benchmarks/test_perf_fit.py``).
 
 ``fit(..., warm_start=True)`` additionally reuses the previous weights
@@ -97,14 +97,14 @@ class EnsembleMLPRegressor:
         Controls fold assignment and all weight initialization.
     fit_mode:
         ``"adaptive"`` (default) freezes and compacts members as they
-        converge individually; ``"classic"`` is the original loop where
-        every member trains until the *mean* loss plateaus.
+        converge individually; ``"classic"`` is the same loop with
+        freezing off, where every member trains until the *mean* loss
+        plateaus.
     freeze_patience:
         Adaptive mode only: epochs a member's own loss may go without a
         relative improvement of ``freeze_tol`` before it is frozen.
         ``None`` derives a quarter of ``patience``; ``math.inf``
-        disables freezing entirely (the bit-identity-with-classic
-        mode).
+        disables freezing entirely (what ``"classic"`` does).
     freeze_tol:
         Adaptive mode only: per-member relative-improvement threshold.
         ``None`` derives 100x ``tol``.
@@ -199,7 +199,8 @@ class EnsembleMLPRegressor:
 
     @property
     def _freeze_patience(self) -> float:
-        """Effective member-freeze patience (adaptive mode).
+        """Effective member-freeze patience: ``math.inf`` (never freeze)
+        for the classic preset.
 
         ``None`` derives a quarter of the global ``patience`` (floor
         10): the member criterion watches a single curve, not a k-way
@@ -209,6 +210,8 @@ class EnsembleMLPRegressor:
         downstream quality (tuner picks, cross-size extrapolation);
         ``benchmarks/test_perf_fit.py`` reports the divergence.
         """
+        if self.fit_mode == "classic":
+            return math.inf
         if self.freeze_patience is not None:
             return self.freeze_patience
         return float(max(10, self.patience // 4))
@@ -303,10 +306,7 @@ class EnsembleMLPRegressor:
             mode=self.fit_mode,
             warm_start=warm,
         ) as span:
-            if self.fit_mode == "classic":
-                stop_reason, best = self._train_classic(Xs, ys, weights)
-            else:
-                stop_reason, best = self._train_adaptive(Xs, ys, weights)
+            stop_reason, best = self._train(Xs, ys, weights)
             self.stop_reason_ = stop_reason
             span.set(
                 epochs_run=len(self.loss_curve_),
@@ -362,51 +362,20 @@ class EnsembleMLPRegressor:
             grads[2] = grads[2] + 2.0 * self.l2 * W2
         return member_loss, grads
 
-    def _train_classic(self, Xs, ys, weights):
-        """Original loop: all k members until the mean loss plateaus."""
-        ms = [np.zeros_like(p) for p in self._params]
-        vs = [np.zeros_like(p) for p in self._params]
-        best = np.inf
-        stale = 0
-        for step in range(1, self.epochs + 1):
-            W1, b1, W2, b2 = self._params
-            member_loss, grads = self._backward(Xs, ys, weights, W1, b1, W2, b2)
-            # Weighted MSE per member, averaged over members.
-            loss = float(np.mean(member_loss))
-            self.loss_curve_.append(loss)
+    def _train(self, Xs, ys, weights):
+        """The training loop: member-wise freezing with active-set
+        compaction.
 
-            adam_step(
-                self._params, grads, ms, vs, step,
-                self.lr, _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS,
-            )
-
-            if loss < best * (1.0 - self.tol):
-                best = loss
-                stale = 0
-            else:
-                stale += 1
-                if stale >= self.patience:
-                    break
-        stop_reason = "early_stop" if stale >= self.patience else "max_epochs"
-        self.member_epochs_ = np.full(
-            self.k, len(self.loss_curve_), dtype=np.int64
-        )
-        self.n_frozen_ = 0
-        return stop_reason, best
-
-    def _train_adaptive(self, Xs, ys, weights):
-        """Member-wise freezing with active-set compaction.
-
-        Keeps the classic global stopping criterion on the mean loss
-        (frozen members contribute their final loss to the mean, so the
-        curve and the stop decision stay comparable), but additionally
-        freezes any member whose own loss has been stale for
-        ``_freeze_patience`` epochs and *physically removes* its rows
-        from the parameter/Adam/weight stacks — the per-epoch cost
-        shrinks as members finish.  With ``freeze_patience=math.inf``
-        nothing ever freezes, the stacks are never copied, and every
-        floating-point operation matches :meth:`_train_classic`
-        bit-for-bit.
+        A global stopping criterion watches the mean loss (frozen members
+        contribute their final loss to the mean, so the curve and the
+        stop decision stay comparable); additionally any member whose own
+        loss has been stale for ``_freeze_patience`` epochs is frozen and
+        its rows are *physically removed* from the parameter/Adam/weight
+        stacks — the per-epoch cost shrinks as members finish.  With a
+        patience of ``math.inf`` (the classic preset) nothing ever
+        freezes, the stacks are never copied, and the loop is the
+        original all-members global-stop loop, floating-point operation
+        for operation.
         """
         out = self._params  # full-size (k, ...) arrays we hand back
         k = self.k
@@ -422,7 +391,8 @@ class EnsembleMLPRegressor:
         m_stale = np.zeros(k, dtype=np.int64)
         m_epochs = np.zeros(k, dtype=np.int64)
         # Frozen members keep contributing their final loss to the mean;
-        # float32 so the mean matches classic's float32 reduction exactly.
+        # float32 so the mean matches an all-members float32 reduction
+        # exactly.
         all_loss = np.zeros(k, dtype=np.float32)
         best = np.inf
         stale = 0
@@ -451,8 +421,8 @@ class EnsembleMLPRegressor:
                     break
 
             # Per-member convergence bookkeeping (never feeds back into
-            # the numerics above — bit-identity with classic holds as
-            # long as no member actually freezes).
+            # the numerics above — the all-members loop is reproduced
+            # exactly as long as no member actually freezes).
             m_epochs[active] = step
             a_best = m_best[active]
             imp = member_loss < a_best * (1.0 - freeze_tol)

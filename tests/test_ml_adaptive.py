@@ -2,11 +2,12 @@
 the shared Adam stepper, and loss-curve trace downsampling.
 
 The contract pinned here is the one ``benchmarks/test_perf_fit.py``
-builds on: ``fit_mode="adaptive"`` with freezing disabled
-(``freeze_patience=math.inf``) is *bit-identical* to the classic
-global-stop loop — same weights, same loss curve, same RNG consumption —
-so member-wise freezing is purely an opt-out approximation layered on a
-semantics-preserving engine.
+builds on: the ensemble's one training loop with freezing disabled —
+``fit_mode="classic"``, or ``fit_mode="adaptive"`` with
+``freeze_patience=math.inf`` — is *bit-identical* to the original
+global-stop loop kept below as the reference (same weights, same loss
+curve, same RNG consumption), so member-wise freezing is purely an
+opt-out approximation layered on a semantics-preserving engine.
 """
 
 import math
@@ -16,6 +17,9 @@ import pytest
 
 from repro.ml.bagging import BaggedRegressor
 from repro.ml.ensemble import (
+    _ADAM_BETA1,
+    _ADAM_BETA2,
+    _ADAM_EPS,
     LOSS_CURVE_TRACE_POINTS,
     EnsembleMLPRegressor,
     _curve_trace_indices,
@@ -24,6 +28,43 @@ from repro.ml.mlp import MLPRegressor
 from repro.ml.optimizers import Adam, adam_step
 
 pytestmark = pytest.mark.ml
+
+
+class ClassicReference(EnsembleMLPRegressor):
+    """The original global-stop trainer: all k members train until the
+    *mean* loss plateaus.  Same preprocessing, fold weights and init as
+    the production ensemble (inherited ``fit``); only the loop differs."""
+
+    def _train(self, Xs, ys, weights):
+        ms = [np.zeros_like(p) for p in self._params]
+        vs = [np.zeros_like(p) for p in self._params]
+        best = np.inf
+        stale = 0
+        for step in range(1, self.epochs + 1):
+            W1, b1, W2, b2 = self._params
+            member_loss, grads = self._backward(Xs, ys, weights, W1, b1, W2, b2)
+            # Weighted MSE per member, averaged over members.
+            loss = float(np.mean(member_loss))
+            self.loss_curve_.append(loss)
+
+            adam_step(
+                self._params, grads, ms, vs, step,
+                self.lr, _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS,
+            )
+
+            if loss < best * (1.0 - self.tol):
+                best = loss
+                stale = 0
+            else:
+                stale += 1
+                if stale >= self.patience:
+                    break
+        stop_reason = "early_stop" if stale >= self.patience else "max_epochs"
+        self.member_epochs_ = np.full(
+            self.k, len(self.loss_curve_), dtype=np.int64
+        )
+        self.n_frozen_ = 0
+        return stop_reason, best
 
 
 def make_data(n=120, d=4, seed=0):
@@ -49,14 +90,21 @@ def slow_data(n=300, d=6, seed=3):
 
 
 class TestFreezeNeverBitIdentity:
-    """20-seed property: the adaptive loop with freezing disabled is the
-    classic loop, bit for bit."""
+    """20-seed property: the training loop with freezing disabled — the
+    classic preset, or adaptive with ``freeze_patience=inf`` — is the
+    reference global-stop loop, bit for bit."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_bit_identical_to_classic(self, seed):
         X, y = make_data(n=90, d=4, seed=seed)
-        classic = EnsembleMLPRegressor(
+        reference = ClassicReference(
             k=5, epochs=120, seed=seed, fit_mode="classic"
+        ).fit(X, y)
+        # The preset overrides any freeze threshold: even an aggressive
+        # one never freezes a member.
+        classic = EnsembleMLPRegressor(
+            k=5, epochs=120, seed=seed, fit_mode="classic",
+            freeze_patience=1, freeze_tol=10.0,
         ).fit(X, y)
         adaptive = EnsembleMLPRegressor(
             k=5,
@@ -66,18 +114,25 @@ class TestFreezeNeverBitIdentity:
             freeze_patience=math.inf,
         ).fit(X, y)
 
-        # Same weights (hence the same RNG stream was consumed in the
-        # same order: fold permutation, W1 init, W2 init).
-        for p_c, p_a in zip(classic._params, adaptive._params):
-            np.testing.assert_array_equal(p_c, p_a)
-        # Same loss trajectory and stop decision.
-        np.testing.assert_array_equal(
-            np.asarray(classic.loss_curve_), np.asarray(adaptive.loss_curve_)
-        )
-        assert adaptive.n_frozen_ == 0
-        assert adaptive.stop_reason_ in ("early_stop", "max_epochs")
-        # Same predictions, bit for bit.
-        np.testing.assert_array_equal(adaptive.predict(X), classic.predict(X))
+        for model in (classic, adaptive):
+            # Same weights (hence the same RNG stream was consumed in the
+            # same order: fold permutation, W1 init, W2 init).
+            for p_r, p_m in zip(reference._params, model._params):
+                np.testing.assert_array_equal(p_r, p_m)
+            # Same loss trajectory, stop decision and per-member work.
+            np.testing.assert_array_equal(
+                np.asarray(reference.loss_curve_), np.asarray(model.loss_curve_)
+            )
+            assert model.stop_reason_ == reference.stop_reason_
+            np.testing.assert_array_equal(
+                model.member_epochs_, reference.member_epochs_
+            )
+            assert model.n_frozen_ == 0
+            # Same predictions, bit for bit.
+            np.testing.assert_array_equal(
+                model.predict(X), reference.predict(X)
+            )
+        assert reference.stop_reason_ in ("early_stop", "max_epochs")
 
     def test_default_adaptive_freezes_and_saves_work(self):
         X, y = make_data(n=200, d=4, seed=1)

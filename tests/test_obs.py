@@ -205,18 +205,47 @@ class TestInstrumentedPipeline:
         assert tune_span["cost_s"] == pytest.approx(result.total_cost_s)
         assert result.total_cost_s == pytest.approx(ctx.ledger.total_s)
 
-    def test_engine_counters_folded_into_trace(self, spec):
+    @pytest.mark.parametrize(
+        "faults,drift",
+        [(None, None), (None, "thermal-throttle"), ("flaky-gpu", None)],
+        ids=["fault-free", "drift", "faults"],
+    )
+    def test_engine_counters_folded_into_trace(self, spec, faults, drift):
+        """Every batch emits one ``measure.batch`` span and the same
+        ``measure.*`` counter set; ``fault.*`` counters (and the summary's
+        fault block) appear only with a fault injector attached."""
         tracer = Tracer()
-        ctx = Context(NVIDIA_K40, seed=5, tracer=tracer)
+        ctx = Context(NVIDIA_K40, seed=5, tracer=tracer, faults=faults,
+                      drift=drift)
         m = Measurer(ctx, spec, repeats=3)
         idx = spec.space.sample_indices(500, np.random.default_rng(5))
         ms = m.measure_batch(idx)
         tracer.close()
         assert tracer.counters["measure.requested"] == 500
         assert tracer.counters["measure.simulated"] == m.stats.n_simulated
+        assert tracer.counters["measure.cache_hits"] == m.stats.n_cache_hits
+        assert tracer.counters["measure.db_hits"] == m.stats.n_db_hits
         assert tracer.counters["measure.invalid"] == ms.n_invalid
-        (batch_span,) = spans_of(tracer.records, "measure.batch")
+        (batch_span,) = [
+            s for s in spans_of(tracer.records)
+            if s["name"].startswith("measure.batch")
+        ]
+        assert batch_span["name"] == "measure.batch"
         assert batch_span["attrs"]["n"] == 500
+        fault_keys = {k for k in tracer.counters if k.startswith("fault.")}
+        rendered = render_summary(tracer.records)
+        if faults is None:
+            assert fault_keys == set()
+            assert "measure.waves" not in tracer.counters
+            assert "fault injection survived" not in rendered
+        else:
+            assert fault_keys == {
+                "fault.transient", "fault.timeouts", "fault.retries",
+                "fault.quarantined",
+            }
+            assert tracer.counters["fault.retries"] == m.stats.n_retries
+            assert tracer.counters["measure.waves"] == m.stats.n_waves > 0
+            assert "fault injection survived" in rendered
 
     def test_ensemble_fit_reports_epochs_and_stop_reason(self, spec):
         tracer = Tracer()
