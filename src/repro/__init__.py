@@ -36,12 +36,14 @@ from repro.core import (
     PerformanceModel,
     SearchSettings,
     SearchTuner,
+    TuneRequest,
     TunerSettings,
     TuningResult,
     coordinate_descent,
     exhaustive_search,
     random_search,
     run_search,
+    run_tune,
 )
 from repro.obs import NULL_TRACER, Tracer, render_summary
 from repro.runtime import BuildError, Context, Device, LaunchError, Platform
@@ -56,6 +58,8 @@ __all__ = [
     "BuildError",
     "LaunchError",
     "MLAutoTuner",
+    "TuneRequest",
+    "run_tune",
     "TunerSettings",
     "TuningResult",
     "PerformanceModel",

@@ -23,8 +23,8 @@ import sys
 
 import numpy as np
 
-from repro import Context, MLAutoTuner, PerformanceModel, TunerSettings
-from repro.core.iterative import IterativeSettings, IterativeTuner
+from repro import Context, PerformanceModel, TunerSettings
+from repro.core.iterative import IterativeSettings
 from repro.core.measure import Measurer
 from repro.kernels import BENCHMARKS, get_benchmark
 from repro.simulator.devices import DEVICES, get_device
@@ -32,17 +32,18 @@ from repro.simulator.drift import DRIFT_PROFILES
 from repro.simulator.faults import FAULT_PROFILES, get_fault_profile
 
 
-def _parse_config(text: str, space) -> dict:
-    """Parse ``name=value,name=value`` against a parameter space."""
+def _parse_pins(text, space) -> dict:
+    """Parse a (possibly partial) ``name=value,...`` list against a
+    parameter space: pinned parameters, or the start of a full config."""
     values = {}
-    for item in text.split(","):
+    for item in (text or "").split(","):
         item = item.strip()
         if not item:
             continue
-        if "=" not in item:
-            raise SystemExit(f"bad config item {item!r}; expected name=value")
-        name, _, raw = item.partition("=")
+        name, eq, raw = item.partition("=")
         name = name.strip()
+        if not eq:
+            raise SystemExit(f"bad item {item!r}; expected name=value")
         if name not in space:
             raise SystemExit(
                 f"unknown parameter {name!r}; expected one of {list(space.names)}"
@@ -51,40 +52,21 @@ def _parse_config(text: str, space) -> dict:
             values[name] = int(raw)
         except ValueError:
             raise SystemExit(f"parameter {name!r}: non-integer value {raw!r}")
+        allowed = list(space.parameter(name).values)
+        if values[name] not in allowed:
+            raise SystemExit(
+                f"{name}={values[name]} not in allowed values {allowed}"
+            )
+    return values
+
+
+def _parse_config(text: str, space) -> dict:
+    """Parse a full ``name=value,...`` configuration against a space."""
+    values = _parse_pins(text, space)
     missing = set(space.names) - set(values)
     if missing:
         raise SystemExit(f"missing parameters: {sorted(missing)}")
     return values
-
-
-def _parse_pins(text, space) -> dict:
-    """Parse a *partial* ``name=value`` list (pinned parameters)."""
-    if not text:
-        return {}
-    pins = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise SystemExit(f"bad pin {item!r}; expected name=value")
-        name, _, raw = item.partition("=")
-        name = name.strip()
-        if name not in space:
-            raise SystemExit(
-                f"unknown parameter {name!r}; expected one of {list(space.names)}"
-            )
-        try:
-            value = int(raw)
-        except ValueError:
-            raise SystemExit(f"pin {name!r}: non-integer value {raw!r}")
-        allowed = list(space.parameter(name).values)
-        if value not in allowed:
-            raise SystemExit(
-                f"pin {name}={value} not in allowed values {allowed}"
-            )
-        pins[name] = value
-    return pins
 
 
 def _strategy_choices() -> tuple:
@@ -113,68 +95,53 @@ def cmd_benchmarks(_args) -> int:
     return 0
 
 
+def _tune_request(args):
+    """The TuneRequest a parsed ``repro tune`` command line asks for."""
+    from repro.core.request import TuneRequest
+    from repro.simulator.devices import device_key
+
+    if args.strategy != "ml" and args.iterative:
+        raise SystemExit("--strategy and --iterative are mutually exclusive")
+    if args.pin and args.strategy == "ml":
+        raise SystemExit("--pin holds parameters fixed during a search; "
+                         "it needs --strategy")
+    try:
+        settings = (
+            IterativeSettings(total_budget=args.budget, rounds=args.rounds,
+                              fit_mode=args.fit_mode)
+            if args.iterative
+            else TunerSettings(n_train=args.n_train,
+                               m_candidates=args.m_candidates,
+                               fit_mode=args.fit_mode)
+        )
+        return TuneRequest(
+            kernel=args.kernel,
+            device=device_key(args.device),
+            seed=args.seed,
+            strategy=args.strategy,
+            settings=settings,
+            pins=_parse_pins(args.pin, get_benchmark(args.kernel).space),
+            faults=args.faults,
+            drift=args.drift,
+        )
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(f"repro tune: {exc.args[0]}") from None
+
+
 def cmd_tune(args) -> int:
-    from dataclasses import asdict
     from pathlib import Path
 
+    from repro.core.request import run_tune
     from repro.core.results import MeasurementDB
     from repro.experiments.reporting import engine_stats_block
-    from repro.obs import NULL_TRACER, Tracer, run_manifest
+    from repro.obs import NULL_TRACER, Tracer
 
-    from repro.core.strategies import SearchSettings, SearchTuner
-
-    spec = get_benchmark(args.kernel)
-    device = get_device(args.device)
-    rng = np.random.default_rng(args.seed)
-    strategy = getattr(args, "strategy", "ml")
-    if strategy != "ml" and args.iterative:
-        raise SystemExit("--strategy and --iterative are mutually exclusive")
-    if args.iterative:
-        settings = IterativeSettings(total_budget=args.budget, rounds=args.rounds)
-    elif strategy != "ml":
-        # Same measurement allowance as the two-stage tuner would get.
-        settings = SearchSettings(
-            budget=args.n_train + args.m_candidates,
-            pins=_parse_pins(args.pin, spec.space),
-        )
-    else:
-        settings = TunerSettings(
-            n_train=args.n_train,
-            m_candidates=args.m_candidates,
-            fit_mode=args.fit_mode,
-        )
-    if args.trace:
-        tracer = Tracer(
-            Path(args.trace),
-            manifest=run_manifest(
-                command="tune",
-                kernel=args.kernel,
-                device=device.name,
-                settings=asdict(settings),
-                seed=args.seed,
-                iterative=bool(args.iterative),
-                strategy=strategy,
-                faults=args.faults,
-                drift=args.drift,
-            ),
-        )
-    else:
-        tracer = NULL_TRACER
-    faults = get_fault_profile(args.faults) if args.faults else None
-    ctx = Context(device, seed=args.seed, tracer=tracer, faults=faults,
-                  drift=args.drift)
+    request = _tune_request(args)
+    tracer = (Tracer(Path(args.trace), manifest=request.manifest(command="tune"))
+              if args.trace else NULL_TRACER)
     db = MeasurementDB(Path(args.db)) if args.db else None
-    measurer = Measurer(ctx, spec, db=db) if db is not None else None
-
     try:
-        if args.iterative:
-            tuner = IterativeTuner(ctx, spec, settings, measurer=measurer)
-        elif strategy != "ml":
-            tuner = SearchTuner(ctx, spec, strategy, settings,
-                                measurer=measurer)
-        else:
-            tuner = MLAutoTuner(ctx, spec, settings, measurer=measurer)
-        result = tuner.tune(rng, model_seed=args.seed)
+        outcome = run_tune(request, tracer=tracer, db=db)
     finally:
         tracer.close()
 
@@ -183,11 +150,12 @@ def cmd_tune(args) -> int:
     if args.trace:
         print(f"trace written to {args.trace}")
 
+    result = outcome.result
     if result.failed:
         print("tuning FAILED: not a single valid measurement "
               "(the paper's §7 failure mode); raise -n / -m or use --iterative")
         return 1
-    best = spec.space[result.best_index]
+    best = outcome.measurer.spec.space[result.best_index]
     print(f"kernel            : {result.kernel}")
     print(f"device            : {result.device}")
     print(f"best configuration: {dict(best)}")
@@ -201,11 +169,10 @@ def cmd_tune(args) -> int:
             f"{k}={v}" for k, v in result.failure_breakdown.items()
         )
         print(f"failure breakdown : {parts}")
-    outcome = getattr(tuner, "outcome", None)
-    if outcome is not None and hasattr(outcome, "leaderboard"):
-        print(_leaderboard_block(outcome))
+    if hasattr(outcome.search, "leaderboard"):
+        print(_leaderboard_block(outcome.search))
     print("engine stats")
-    print(engine_stats_block(tuner.measurer.stats, ctx.ledger))
+    print(engine_stats_block(outcome.measurer.stats, outcome.ledger))
     return 0
 
 
@@ -383,17 +350,14 @@ def cmd_campaign(args) -> int:
 
     from repro.core.campaign import run_campaign_grid
     from repro.core.results import MeasurementDB
-    from repro.obs import Tracer, run_manifest
+    from repro.obs import NULL_TRACER, Tracer, run_manifest
 
     kernels = [k.strip() for k in args.kernels.split(",") if k.strip()]
     devices = [d.strip() for d in args.devices.split(",") if d.strip()]
     specs = [get_benchmark(k) for k in kernels]
-    for d in devices:
-        get_device(d)  # fail fast on typos before forking workers
     db = MeasurementDB(Path(args.db)) if args.db else None
     settings = TunerSettings(n_train=args.n_train, m_candidates=args.m_candidates)
-    faults = get_fault_profile(args.faults) if args.faults else None
-    tracer = None
+    tracer = NULL_TRACER
     if args.trace:
         tracer = Tracer(
             Path(args.trace),
@@ -416,12 +380,11 @@ def cmd_campaign(args) -> int:
             max_workers=args.workers,
             seed=args.seed,
             tracer=tracer,
-            faults=faults,
+            faults=args.faults,
             strategy=args.strategy,
         )
     finally:
-        if tracer is not None:
-            tracer.close()
+        tracer.close()
     print(report.report())
     if args.trace:
         print(f"trace written to {args.trace}")

@@ -35,6 +35,7 @@ from repro.core.online import (
     OnlineTuner,
     RetuneEvent,
 )
+from repro.core.request import TuneOutcome, TuneRequest, run_tune
 from repro.core.results import MeasurementDB, TuningResult
 from repro.core.sensitivity import interaction_strength, parameter_sensitivity
 from repro.core.search import (
@@ -83,6 +84,9 @@ __all__ = [
     "MLAutoTuner",
     "TunerSettings",
     "TuningResult",
+    "TuneOutcome",
+    "TuneRequest",
+    "run_tune",
     "MeasurementDB",
     "exhaustive_search",
     "random_search",

@@ -22,19 +22,17 @@ import os
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.measure import EngineStats, Measurer
+from repro.core.request import TuneRequest, run_tune
 from repro.core.results import MeasurementDB, TuningResult
-from repro.core.tuner import MLAutoTuner, TunerSettings
+from repro.core.tuner import TunerSettings
 from repro.kernels.base import KernelSpec
-from repro.obs import NULL_TRACER, Tracer, run_manifest
-from repro.runtime import Context
-from repro.simulator.devices import get_device
+from repro.obs import NULL_TRACER, Tracer
+from repro.simulator.devices import device_key, get_device
 from repro.simulator.noise import CostLedger
 
 
@@ -133,20 +131,22 @@ class PortabilityCampaign:
         self.faults = faults
 
     def run(self, seed: int = 0) -> CampaignResult:
+        requests = {
+            key: TuneRequest(self.spec.name, device_key(key), seed,
+                             settings=self.settings, problem=self.spec.problem,
+                             faults=self.faults)
+            for key in self.devices
+        }
         results: Dict[str, TuningResult] = {}
         measurers: Dict[str, Measurer] = {}
-        for key in self.devices:
-            device = get_device(key)
-            ctx = Context(device, seed=seed, faults=self.faults)
+        for key, request in requests.items():
             # The measurer writes straight through to the campaign DB, so
             # every stage-one/stage-two measurement is durable and a
             # re-run against the same DB serves them back without cost.
-            measurer = Measurer(
-                ctx, self.spec, repeats=self.settings.repeats, db=self.db
-            )
-            tuner = MLAutoTuner(ctx, self.spec, self.settings, measurer=measurer)
-            results[key] = tuner.tune(np.random.default_rng(seed), model_seed=seed)
-            measurers[key] = measurer
+            # It also measures the transplants below, on the same context.
+            outcome = run_tune(request, db=self.db)
+            results[key] = outcome.result
+            measurers[key] = outcome.measurer
 
         matrix: Dict[str, Dict[str, Optional[float]]] = {}
         for target in self.devices:
@@ -244,49 +244,24 @@ class GridReport:
 def _run_grid_cell(payload) -> tuple:
     """Worker for one grid cell; module-level so process pools can pickle it.
 
-    Builds a fresh context + DB-shard-backed measurer, tunes, saves the
-    shard, and returns (result, stats, ledger) — everything the parent
-    needs, nothing process-bound.  When a trace path is given the worker
-    writes its own JSONL trace there (processes cannot share a sink); the
-    parent merges the per-worker files afterwards.
+    ``payload`` is ``(request, shard_path, trace_path)``.  Tunes against
+    a DB-shard-backed measurer, saves the shard, and returns (result,
+    stats, ledger) — everything the parent needs, nothing process-bound.
+    When a trace path is given the worker writes its own JSONL trace there
+    (processes cannot share a sink); the parent merges the per-worker
+    files afterwards.
     """
-    (spec, device_key, settings, seed, shard_path, trace_path, faults,
-     strategy) = payload
-    device = get_device(device_key)
+    request, shard_path, trace_path = payload
     shard = MeasurementDB(Path(shard_path)) if shard_path else MeasurementDB()
-    if trace_path:
-        tracer = Tracer(
-            trace_path,
-            manifest=run_manifest(
-                kernel=spec.name,
-                device=device.name,
-                settings=asdict(settings),
-                seed=seed,
-                strategy=strategy,
-            ),
-        )
-    else:
-        tracer = NULL_TRACER
-    ctx = Context(device, seed=seed, tracer=tracer, faults=faults)
-    measurer = Measurer(ctx, spec, repeats=settings.repeats, db=shard)
-    if strategy != "ml":
-        from repro.core.strategies import SearchSettings, SearchTuner
-
-        search_settings = SearchSettings(
-            budget=settings.n_train + settings.m_candidates,
-            repeats=settings.repeats,
-        )
-        tuner = SearchTuner(ctx, spec, strategy, search_settings,
-                            measurer=measurer)
-    else:
-        tuner = MLAutoTuner(ctx, spec, settings, measurer=measurer)
+    tracer = (Tracer(trace_path, manifest=request.manifest()) if trace_path
+              else NULL_TRACER)
     try:
-        result = tuner.tune(np.random.default_rng(seed), model_seed=seed)
+        outcome = run_tune(request, tracer=tracer, db=shard)
     finally:
         tracer.close()
     if shard.path is not None:
         shard.save()
-    return result, measurer.stats, ctx.ledger
+    return outcome.result, outcome.measurer.stats, outcome.ledger
 
 
 def run_campaign_grid(
@@ -325,7 +300,11 @@ def run_campaign_grid(
     ``strategy`` swaps the per-cell tuner: ``"ml"`` (default) runs the
     paper's two-stage ANN tuner; any strategy-zoo name or ``"bandit"``
     runs a model-free :class:`~repro.core.strategies.SearchTuner` with
-    the same measurement allowance (``n_train + m_candidates``).
+    the same measurement allowance (``n_train + m_candidates``) and the
+    same ledger cap (``settings.max_cost_s``).
+
+    Every cell is a :class:`~repro.core.request.TuneRequest`, validated
+    here before any worker starts.
     """
     specs = list(specs)
     devices = list(devices)
@@ -333,40 +312,34 @@ def run_campaign_grid(
         raise ValueError("need at least one kernel and one device")
     if settings is None:
         settings = TunerSettings(n_train=800, m_candidates=80)
-    if strategy != "ml":
-        from repro.core.strategies import STRATEGY_CHOICES
-
-        if strategy not in STRATEGY_CHOICES:
-            raise ValueError(
-                f"unknown strategy {strategy!r}; expected 'ml' or one of "
-                f"{sorted(STRATEGY_CHOICES)}"
-            )
     if tracer is None:
         tracer = NULL_TRACER
-    cells = [(spec, key) for spec in specs for key in devices]
+    requests = [
+        TuneRequest(spec.name, device_key(key), seed, strategy, settings,
+                    problem=spec.problem, faults=faults)
+        for spec in specs
+        for key in devices
+    ]
 
     tmpdir = Path(tempfile.mkdtemp(prefix="repro-campaign-"))
     try:
         payloads: List[tuple] = []
-        for spec, key in cells:
-            shard_path = tmpdir / f"{spec.name}-{key}.json"
+        for request in requests:
+            cell = f"{request.kernel}-{request.device}"
+            device_name = get_device(request.device).name
+            shard_path = tmpdir / f"{cell}.json"
             if db is not None:
-                known = db.table(spec.name, get_device(key).name)
+                known = db.table(request.kernel, device_name)
                 if known:
                     shard = MeasurementDB(shard_path)
-                    shard.put_many(spec.name, get_device(key).name, known)
+                    shard.put_many(request.kernel, device_name, known)
                     shard.save()
             trace_path = (
-                str(tmpdir / f"{spec.name}-{key}.trace.jsonl")
-                if tracer.enabled
-                else None
+                str(tmpdir / f"{cell}.trace.jsonl") if tracer.enabled else None
             )
-            payloads.append(
-                (spec, key, settings, seed, str(shard_path), trace_path,
-                 faults, strategy)
-            )
+            payloads.append((request, str(shard_path), trace_path))
 
-        with tracer.span("campaign.grid", cells=len(cells)):
+        with tracer.span("campaign.grid", cells=len(payloads)):
             if max_workers is not None and max_workers <= 1:
                 outcomes = [_run_grid_cell(p) for p in payloads]
             else:
@@ -375,16 +348,18 @@ def run_campaign_grid(
                     outcomes = list(pool.map(_run_grid_cell, payloads))
 
         grid_cells = []
-        for (spec, key), payload, outcome in zip(cells, payloads, outcomes):
+        for (request, shard_path, trace_path), outcome in zip(payloads, outcomes):
             result, stats, ledger = outcome
             if db is not None:
-                db.merge_from(MeasurementDB(Path(payload[4])))
-            device_name = get_device(key).name
-            if payload[5]:
-                tracer.merge_file(payload[5], worker=f"{spec.name}@{device_name}")
+                db.merge_from(MeasurementDB(Path(shard_path)))
+            device_name = get_device(request.device).name
+            if trace_path:
+                tracer.merge_file(
+                    trace_path, worker=f"{request.kernel}@{device_name}"
+                )
             grid_cells.append(
                 GridCell(
-                    kernel=spec.name,
+                    kernel=request.kernel,
                     device=device_name,
                     result=result,
                     stats=stats,

@@ -200,6 +200,19 @@ class PerformanceModel:
         )
         return self.fit(indices, times)
 
+    def detach_tracer(self) -> "PerformanceModel":
+        """Point the model, its ensemble and its compiled sweep engine at
+        :data:`~repro.obs.NULL_TRACER`, for a model that outlives its run
+        (the daemon's model cache).  The engine is kept, not recompiled;
+        its scratch buffers are released, so an idle model holds weights."""
+        self.tracer = NULL_TRACER
+        if isinstance(self._model, EnsembleMLPRegressor):
+            self._model.tracer = NULL_TRACER
+        if self._sweeper is not None:
+            self._sweeper.tracer = NULL_TRACER
+            self._sweeper.release_buffers()
+        return self
+
     # -- prediction -----------------------------------------------------------
 
     def _get_sweeper(self) -> Optional[PredictionSweeper]:

@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.measure import MeasurementSet, Measurer
 
 
-def _normalize_pins(pins) -> Tuple[Tuple[str, Any], ...]:
+def normalize_pins(pins) -> Tuple[Tuple[str, Any], ...]:
     """Canonical, hashable form of a pin mapping (sorted name/value pairs)."""
     if not pins:
         return ()
@@ -76,7 +76,7 @@ class SearchSettings:
     repeats: int = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "pins", _normalize_pins(self.pins))
+        object.__setattr__(self, "pins", normalize_pins(self.pins))
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.batch < 1:

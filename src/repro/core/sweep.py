@@ -485,6 +485,10 @@ class PredictionSweeper:
             self._bufs = self.compiled.make_buffers(self.settings.chunk)
         return self._bufs
 
+    def release_buffers(self) -> None:
+        """Drop the warm scratch buffers; the next sweep re-allocates."""
+        self._bufs = None
+
     def _as_work(self, indices: Optional[Sequence[int]]):
         if indices is None:
             return ("range", 0, self.space.size)

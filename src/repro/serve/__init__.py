@@ -9,9 +9,9 @@ Layout:
 
 * :mod:`repro.serve.protocol` — wire format (requests, responses).
 * :mod:`repro.serve.broker` — the shared measurement pump.
-* :mod:`repro.serve.state` — campaign identity, caches, client budgets.
-* :mod:`repro.serve.campaigns` — campaign execution (the CLI ``tune``
-  path, bit-for-bit).
+* :mod:`repro.serve.state` — watch identity, caches, client budgets.
+* :mod:`repro.serve.campaigns` — campaign execution through
+  :func:`~repro.core.request.run_tune`, the CLI ``tune`` path.
 * :mod:`repro.serve.server` — the asyncio daemon (``python -m repro
   serve``).
 * :mod:`repro.serve.client` — blocking client + load generator.
@@ -23,14 +23,12 @@ from repro.serve.client import ServerRejected, TuningClient, run_load
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.serve.server import TuningServer
 from repro.serve.state import (
-    CampaignKey,
     ClientAccount,
     ModelCache,
     ResultCache,
 )
 
 __all__ = [
-    "CampaignKey",
     "ClientAccount",
     "MeasurementBroker",
     "ModelCache",

@@ -1,30 +1,28 @@
-"""Campaign execution for the daemon: the CLI ``tune`` path, verbatim.
+"""Campaign execution for the daemon.
 
-A fresh campaign must be bit-identical to ``repro tune`` with the same
-``(kernel, device, n_train, m_candidates, seed)``: same ``Context``
-construction, same RNG seeding, same ``tune(rng, model_seed=seed)``
-call.  The only deliberate additions are invisible to the numbers —
-the shared measurement broker (whose FIFO execution through
-``measure_batch_direct`` preserves the engine's serial-equivalence
-invariant) and an optional streaming tracer (observability only).
+A fresh campaign is bit-identical to ``repro tune`` with the same
+:class:`~repro.core.request.TuneRequest`: both call
+:func:`~repro.core.request.run_tune`.  The daemon adds only what leaves
+the numbers alone — the shared measurement broker (FIFO through
+``measure_batch_direct``) and an optional streaming tracer.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
 from repro.core.measure import Measurer
 from repro.core.online import OnlineSettings, OnlineTuner
-from repro.core.tuner import MLAutoTuner, TunerSettings
+from repro.core.request import TuneRequest, run_tune
+from repro.core.tuner import TunerSettings
 from repro.kernels import get_benchmark
 from repro.obs import NULL_TRACER, Tracer
 from repro.runtime import Context
 from repro.simulator.devices import get_device
-
-from repro.serve.state import CampaignKey
 
 
 def result_payload(result, space) -> Dict[str, Any]:
@@ -51,7 +49,7 @@ def result_payload(result, space) -> Dict[str, Any]:
 
 
 def run_campaign(
-    key: CampaignKey,
+    request: TuneRequest,
     batcher=None,
     sink: Optional[Callable[[Dict[str, Any]], None]] = None,
     register: Optional[Callable[[Measurer], None]] = None,
@@ -65,70 +63,33 @@ def run_campaign(
     starts, so the server's ``stats`` op can report the live per-campaign
     ``failure_breakdown()`` while the campaign is in flight.
     """
-    spec = get_benchmark(key.kernel)
-    device = get_device(key.device)
     tracer = Tracer(sink=sink) if sink is not None else NULL_TRACER
-    ctx = Context(device, seed=key.seed, tracer=tracer, faults=key.faults)
-    if key.strategy != "ml":
-        from repro.core.strategies import SearchSettings, SearchTuner
-
-        search_settings = SearchSettings(
-            budget=key.n_train + key.m_candidates,
-            max_cost_s=key.budget_s,
-        )
-        measurer = Measurer(
-            ctx, spec, repeats=search_settings.repeats, batcher=batcher
-        )
-        if register is not None:
-            register(measurer)
-        tuner = SearchTuner(
-            ctx, spec, key.strategy, search_settings, measurer=measurer
-        )
-    else:
-        settings = TunerSettings(
-            n_train=key.n_train,
-            m_candidates=key.m_candidates,
-            max_cost_s=key.budget_s,
-            fit_mode=key.fit_mode,
-        )
-        measurer = Measurer(
-            ctx, spec, repeats=settings.repeats, batcher=batcher
-        )
-        if register is not None:
-            register(measurer)
-        tuner = MLAutoTuner(ctx, spec, settings, measurer=measurer)
-    rng = np.random.default_rng(key.seed)
     t0 = time.perf_counter()
     try:
-        result = tuner.tune(rng, model_seed=key.seed)
+        outcome = run_tune(request, tracer=tracer, batcher=batcher,
+                           register=register)
     finally:
         tracer.close()
     wall_s = time.perf_counter() - t0
 
-    model = tuner.model
+    model = outcome.model
     if model is not None:
-        # The model outlives the campaign in the shared cache; detach the
-        # (now closed) campaign tracer so later predicts don't emit into it.
-        model.tracer = NULL_TRACER
-        if model._model is not None:
-            model._model.tracer = NULL_TRACER
-        model._sweeper = None  # was compiled against the closed tracer
-
-    ledger = ctx.ledger
+        # The model outlives the campaign in the shared cache; later
+        # predicts must not emit into the (now closed) campaign tracer.
+        model.detach_tracer()
     return {
-        "result": result_payload(result, spec.space),
-        "cost": {
-            "compile_s": ledger.compile_s,
-            "run_s": ledger.run_s,
-            "failed_s": ledger.failed_s,
-            "retry_s": ledger.retry_s,
-            "total_s": ledger.total_s,
-        },
+        "result": result_payload(outcome.result, outcome.measurer.spec.space),
+        "cost": _cost(outcome.ledger),
         "wall_s": wall_s,
         # Fitted stage-one model (None when training was skipped/degraded);
         # the server parks it in the shared ModelCache for `predict`.
         "model": model,
     }
+
+
+def _cost(ledger) -> Dict[str, float]:
+    """A campaign ledger's buckets, as every result payload reports them."""
+    return {**asdict(ledger), "total_s": ledger.total_s}
 
 
 def run_watch(
@@ -190,15 +151,4 @@ def run_watch(
         payload["incumbent_config"] = dict(spec.space[report.incumbent])
     payload["detector"] = online.detector.snapshot()
 
-    ledger = ctx.ledger
-    return {
-        "result": payload,
-        "cost": {
-            "compile_s": ledger.compile_s,
-            "run_s": ledger.run_s,
-            "failed_s": ledger.failed_s,
-            "retry_s": ledger.retry_s,
-            "total_s": ledger.total_s,
-        },
-        "wall_s": wall_s,
-    }
+    return {"result": payload, "cost": _cost(ctx.ledger), "wall_s": wall_s}

@@ -126,8 +126,9 @@ def decode(line: bytes | str) -> Dict[str, Any]:
 def validate_tune(req: Mapping[str, Any]) -> Dict[str, Any]:
     """Canonicalize a ``tune`` request: defaults applied, types checked.
 
-    Kernel/device *existence* is the server's job (it owns the catalogs);
-    this layer only enforces shape so admission control never sees junk.
+    This layer enforces shape; the values (kernel, device, profile,
+    fit_mode, strategy, n_train against the bagging folds) are checked by
+    the :class:`~repro.core.request.TuneRequest` the server builds.
     """
     out = dict(TUNE_DEFAULTS)
     for field in ("kernel", "device"):
@@ -153,19 +154,9 @@ def validate_tune(req: Mapping[str, Any]) -> Dict[str, Any]:
         if not isinstance(req["faults"], str):
             raise ProtocolError("'faults' must be a profile spec string")
         out["faults"] = req["faults"]
-    if "fit_mode" in req and req["fit_mode"] is not None:
-        if req["fit_mode"] not in ("adaptive", "classic"):
-            raise ProtocolError("'fit_mode' must be 'adaptive' or 'classic'")
-        out["fit_mode"] = req["fit_mode"]
-    if "strategy" in req and req["strategy"] is not None:
-        from repro.core.strategies import STRATEGY_CHOICES
-
-        choices = ("ml",) + STRATEGY_CHOICES
-        if req["strategy"] not in choices:
-            raise ProtocolError(
-                f"'strategy' must be one of {sorted(choices)}"
-            )
-        out["strategy"] = req["strategy"]
+    for field in ("fit_mode", "strategy"):
+        if req.get(field) is not None:
+            out[field] = req[field]
     out["stream"] = bool(req.get("stream", False))
     return out
 

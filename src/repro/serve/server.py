@@ -35,8 +35,11 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
+from repro.core.request import TuneRequest
+from repro.core.tuner import TunerSettings
 from repro.kernels import BENCHMARKS, get_benchmark
 from repro.simulator.devices import DEVICES
 from repro.simulator.drift import make_drift
@@ -46,7 +49,6 @@ from repro.serve import protocol
 from repro.serve.broker import MeasurementBroker
 from repro.serve.campaigns import run_campaign, run_watch
 from repro.serve.state import (
-    CampaignKey,
     ClientAccount,
     ModelCache,
     ResultCache,
@@ -59,7 +61,7 @@ class _InFlight:
 
     __slots__ = ("key", "subscribers", "sinks", "started_at", "measurer")
 
-    def __init__(self, key: CampaignKey) -> None:
+    def __init__(self, key) -> None:
         self.key = key
         self.subscribers: List["_Connection.Pending"] = []
         self.sinks: List[Any] = []  # thread-safe event fan-out callables
@@ -131,7 +133,7 @@ class TuningServer:
         self.results = ResultCache(result_cache_size)
         self.models = ModelCache(model_cache_size)
         self.broker = MeasurementBroker()
-        # Keyed by CampaignKey (tune: coalescable) or WatchKey (unique).
+        # Keyed by TuneRequest (tune: coalescable) or WatchKey (unique).
         self.inflight: Dict[Any, _InFlight] = {}
         self.counters: Dict[str, int] = {
             "requests": 0,
@@ -308,41 +310,34 @@ class TuningServer:
         )
 
     def _handle_tune(self, conn: _Connection, req_id, req) -> None:
-        spec_req = protocol.validate_tune(req)
-        if spec_req["kernel"] not in BENCHMARKS:
-            raise protocol.ProtocolError(
-                f"unknown kernel {spec_req['kernel']!r}; "
-                f"known: {sorted(BENCHMARKS)}"
+        params = protocol.validate_tune(req)
+        try:  # the request validates itself: reject before any ack
+            key = TuneRequest(
+                kernel=params["kernel"],
+                device=params["device"],
+                seed=params["seed"],
+                strategy=params["strategy"],
+                settings=TunerSettings(
+                    n_train=params["n_train"],
+                    m_candidates=params["m_candidates"],
+                    max_cost_s=params["budget_s"],
+                    fit_mode=params["fit_mode"],
+                ),
+                faults=params["faults"],
             )
-        if spec_req["device"] not in DEVICES:
-            raise protocol.ProtocolError(
-                f"unknown device {spec_req['device']!r}; "
-                f"known: {sorted(DEVICES)}"
-            )
-        if spec_req["faults"] is not None:
-            try:  # fail fast, before the campaign thread
-                make_injector(spec_req["faults"])
-            except ValueError as exc:
-                raise protocol.ProtocolError(str(exc)) from None
+        except ValueError as exc:
+            raise protocol.ProtocolError(str(exc)) from None
         if conn.account.exhausted():
             self._reject(conn, req_id, "client_budget_exhausted")
             return
 
-        budget = conn.account.effective_budget_s(spec_req["budget_s"])
-        key = CampaignKey(
-            kernel=spec_req["kernel"],
-            device=spec_req["device"],
-            problem=str(get_benchmark(spec_req["kernel"]).problem),
-            n_train=spec_req["n_train"],
-            m_candidates=spec_req["m_candidates"],
-            seed=spec_req["seed"],
-            budget_s=budget,
-            faults=spec_req["faults"],
-            fit_mode=spec_req["fit_mode"],
-            strategy=spec_req["strategy"],
-        )
+        # The key carries the effective budget (clamped by the client's
+        # allowance): a differently-budgeted run may degrade differently.
+        budget = conn.account.effective_budget_s(params["budget_s"])
+        if budget != params["budget_s"]:
+            key = replace(key, settings=replace(key.settings, max_cost_s=budget))
         pending = _Connection.Pending(
-            conn, req_id, spec_req["stream"], initiator=False
+            conn, req_id, params["stream"], initiator=False
         )
 
         cached = self.results.get(key)
@@ -376,19 +371,25 @@ class TuningServer:
         conn.send(
             protocol.response("ack", req_id, coalesced=False, cached=False)
         )
+        self.counters["campaigns"] += 1
+        self._launch(key, pending, run_campaign, key)
+
+    def _launch(self, key, pending, run, arg) -> None:
+        """Put an admitted tune or watch in flight: ``run(arg, broker,
+        sink, register)`` on a campaign thread, answered on the loop."""
+        key_fields = self._key_fields(key)
         flight = _InFlight(key)
         flight.subscribers.append(pending)
         if pending.stream:
-            flight.sinks.append(conn.send_threadsafe)
+            flight.sinks.append(pending.conn.send_threadsafe)
         self.inflight[key] = flight
-        self.counters["campaigns"] += 1
 
         def sink(record: Dict[str, Any]) -> None:
             # Campaign-thread context: fan out to current subscribers.
             for push in list(flight.sinks):
                 push(
                     protocol.response(
-                        "event", None, key=self._key_fields(key), record=record
+                        "event", None, key=key_fields, record=record
                     )
                 )
 
@@ -397,7 +398,7 @@ class TuningServer:
             flight.measurer = measurer
 
         future = self.loop.run_in_executor(
-            self._pool, run_campaign, key, self.broker, sink, register
+            self._pool, run, arg, self.broker, sink, register
         )
         future.add_done_callback(
             lambda fut: self.loop.call_soon_threadsafe(
@@ -459,125 +460,81 @@ class TuningServer:
                 watch=key.serial,
             )
         )
-        flight = _InFlight(key)
-        flight.subscribers.append(pending)
-        if pending.stream:
-            flight.sinks.append(conn.send_threadsafe)
-        self.inflight[key] = flight
         self.counters["watches"] += 1
+        self._launch(key, pending, run_watch, params)
 
-        key_fields = self._watch_key_fields(key)
-
-        def sink(record: Dict[str, Any]) -> None:
-            # Campaign-thread context: fan out to current subscribers.
-            for push in list(flight.sinks):
-                push(
-                    protocol.response(
-                        "event", None, key=key_fields, record=record
-                    )
-                )
-
-        def register(measurer) -> None:
-            # Worker-thread context: a single attribute store (GIL-atomic).
-            flight.measurer = measurer
-
-        future = self.loop.run_in_executor(
-            self._pool, run_watch, params, self.broker, sink, register
-        )
-        future.add_done_callback(
-            lambda fut: self.loop.call_soon_threadsafe(
-                self._watch_done, key, fut
-            )
-        )
-
-    def _watch_done(self, key: WatchKey, future) -> None:
+    def _campaign_done(self, key, future) -> None:
+        """Answer every subscriber of a finished tune or watch."""
         flight = self.inflight.pop(key, None)
         if flight is None:
             return
-        try:
-            outcome = future.result()
-        except Exception as exc:
-            self.counters["errors"] += 1
-            for pending in flight.subscribers:
-                pending.conn.send(
-                    protocol.response(
-                        "error", pending.req_id, error=f"watch failed: {exc}"
-                    )
-                )
-            return
-        wall = outcome["wall_s"]
-        self._avg_wall_s = 0.7 * self._avg_wall_s + 0.3 * max(wall, 0.01)
-        payload = {
-            "key": self._watch_key_fields(key),
-            "result": outcome["result"],
-            "cost": outcome["cost"],
-            "wall_s": round(wall, 6),
-        }
-        for pending in flight.subscribers:
-            pending.conn.account.charge(outcome["cost"])
-            self._send_result(pending, payload, cached=False, coalesced=False)
-
-    @staticmethod
-    def _watch_key_fields(key: WatchKey) -> Dict[str, Any]:
-        return {
-            "watch": key.serial,
-            "kernel": key.kernel,
-            "device": key.device,
-            "n_train": key.n_train,
-            "m_candidates": key.m_candidates,
-            "seed": key.seed,
-            "steps": key.steps,
-            "drift": key.drift,
-            "faults": key.faults,
-        }
-
-    def _campaign_done(self, key: CampaignKey, future) -> None:
-        flight = self.inflight.pop(key, None)
-        if flight is None:
-            return
+        watch = isinstance(key, WatchKey)
         try:
             outcome = future.result()
         except Exception as exc:  # campaign crashed: tell every subscriber
             self.counters["errors"] += 1
+            kind = "watch" if watch else "campaign"
             for pending in flight.subscribers:
                 pending.conn.send(
                     protocol.response(
-                        "error", pending.req_id, error=f"campaign failed: {exc}"
+                        "error", pending.req_id, error=f"{kind} failed: {exc}"
                     )
                 )
             return
         wall = outcome["wall_s"]
         self._avg_wall_s = 0.7 * self._avg_wall_s + 0.3 * max(wall, 0.01)
-        if outcome["model"] is not None:
-            self.models.put(key.model_key(), outcome["model"])
         payload = {
             "key": self._key_fields(key),
             "result": outcome["result"],
             "cost": outcome["cost"],
             "wall_s": round(wall, 6),
         }
-        self.results.put(key, payload)
+        if not watch:  # a watch lives on its own drift clock: never cached
+            if outcome["model"] is not None:
+                self.models.put(self._model_key(key), outcome["model"])
+            self.results.put(key, payload)
         for pending in flight.subscribers:
-            if pending.initiator:
+            if pending.initiator:  # a watch's one subscriber initiated it
                 pending.conn.account.charge(outcome["cost"])
             self._send_result(
                 pending, payload, cached=False, coalesced=not pending.initiator
             )
 
     @staticmethod
-    def _key_fields(key: CampaignKey) -> Dict[str, Any]:
+    def _key_fields(key) -> Dict[str, Any]:
+        """The ``key`` payload of a tune (a TuneRequest) or a watch."""
+        if isinstance(key, WatchKey):
+            return {
+                "watch": key.serial,
+                "kernel": key.kernel,
+                "device": key.device,
+                "n_train": key.n_train,
+                "m_candidates": key.m_candidates,
+                "seed": key.seed,
+                "steps": key.steps,
+                "drift": key.drift,
+                "faults": key.faults,
+            }
         return {
             "kernel": key.kernel,
             "device": key.device,
-            "problem": key.problem,
-            "n_train": key.n_train,
-            "m_candidates": key.m_candidates,
+            "problem": str(key.problem),
+            "n_train": key.settings.n_train,
+            "m_candidates": key.settings.m_candidates,
             "seed": key.seed,
-            "budget_s": key.budget_s,
+            "budget_s": key.settings.max_cost_s,
             "faults": key.faults,
-            "fit_mode": key.fit_mode,
+            "fit_mode": key.settings.fit_mode,
             "strategy": key.strategy,
         }
+
+    @staticmethod
+    def _model_key(key: TuneRequest) -> tuple:
+        """What determines a campaign's fitted stage-one model: the
+        ``ModelCache`` key ``predict`` looks up.  ``fit_mode`` is part of
+        it — adaptive and classic fits of one training set differ."""
+        return (key.kernel, key.device, key.settings.n_train, key.seed,
+                key.settings.fit_mode)
 
     def _send_result(
         self, pending, payload: Dict[str, Any], cached: bool, coalesced: bool
@@ -703,15 +660,9 @@ class TuningServer:
         """Live view of one in-flight campaign: its key, age, and the
         measurer's fault counters (``failure_breakdown()``) so operators
         see retry pressure without reading traces."""
-        key = flight.key
-        fields = (
-            self._watch_key_fields(key)
-            if isinstance(key, WatchKey)
-            else self._key_fields(key)
-        )
         m = flight.measurer
         return {
-            **fields,
+            **self._key_fields(flight.key),
             "age_s": round(time.perf_counter() - flight.started_at, 3),
             "failure_breakdown": (
                 m.stats.failure_breakdown() if m is not None else {}

@@ -32,22 +32,26 @@ from repro.serve.server import ServerThread, TuningServer
 def _probe_tune_cost_s(kernel: str, device: str, n_train: int,
                        m_candidates: int, seed: int) -> float:
     """Simulated-second cost of the watch's initial tune, computed by
-    running it locally.  Deterministic, so it exactly predicts where the
-    server-side watch's drift clock stands when monitoring begins."""
+    running the watch's own path (an :class:`OnlineTuner` with no
+    monitoring steps) locally.  Deterministic, so it exactly predicts
+    where the server-side watch's drift clock stands when monitoring
+    begins."""
     import numpy as np
 
-    from repro.core.tuner import MLAutoTuner, TunerSettings
+    from repro.core.online import OnlineSettings, OnlineTuner
+    from repro.core.tuner import TunerSettings
     from repro.kernels import get_benchmark
     from repro.runtime import Context
     from repro.simulator.devices import get_device
 
-    ctx = Context(get_device(device), seed=seed)
-    tuner = MLAutoTuner(
-        ctx, get_benchmark(kernel),
+    online = OnlineTuner(
+        Context(get_device(device), seed=seed),
+        get_benchmark(kernel),
+        OnlineSettings(steps=0),
         TunerSettings(n_train=n_train, m_candidates=m_candidates),
     )
-    tuner.tune(np.random.default_rng(seed), model_seed=seed)
-    return ctx.ledger.total_s
+    report = online.run(np.random.default_rng(seed), model_seed=seed)
+    return report.initial_cost_s
 
 
 def _drift_smoke(args, server: TuningServer, port: int) -> tuple:

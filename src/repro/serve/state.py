@@ -1,11 +1,12 @@
-"""Shared server state: campaign identity, caches, client accounts.
+"""Shared server state: watch identity, caches, client accounts.
 
 Everything a request may touch concurrently lives here, behind small
 explicit locks.  The sharing story:
 
 * :class:`ResultCache` — completed campaigns keyed by their *full*
-  identity (:class:`CampaignKey`), so a replayed request is answered
-  without measuring anything.  Bounded LRU: a long-lived daemon must not
+  identity, the :class:`~repro.core.request.TuneRequest` (with the
+  effective budget), so a replayed request is answered without
+  measuring anything.  Bounded LRU: a long-lived daemon must not
   grow without limit.
 * :class:`ModelCache` — the fitted :class:`~repro.core.model.PerformanceModel`
   of every fresh campaign, keyed by what determines its training set.
@@ -22,44 +23,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.simulator.noise import CostLedger
-
-
-@dataclass(frozen=True)
-class CampaignKey:
-    """Complete identity of a tuning campaign.
-
-    Two requests with equal keys provably compute the same result (the
-    whole pipeline is deterministic in these fields), which is what makes
-    coalescing and result-caching semantically invisible.  ``problem`` is
-    derived from the kernel spec — part of the identity so a future
-    problem-size knob cannot silently alias cache entries.  ``budget_s``
-    is the *effective* campaign budget (request budget clamped by the
-    client's remaining allowance): a differently-budgeted run may degrade
-    differently, so it must not share a cache slot.
-    """
-
-    kernel: str
-    device: str
-    problem: str
-    n_train: int
-    m_candidates: int
-    seed: int
-    budget_s: Optional[float] = None
-    faults: Optional[str] = None
-    fit_mode: str = "adaptive"
-    strategy: str = "ml"
-
-    def model_key(self) -> Tuple[str, str, int, int, str]:
-        """What determines the fitted stage-one model (see ModelCache).
-
-        ``fit_mode`` is part of the identity: adaptive and classic fits
-        of the same training set produce different weights, so they must
-        not alias one cache slot.
-        """
-        return (self.kernel, self.device, self.n_train, self.seed, self.fit_mode)
 
 
 @dataclass(frozen=True)
@@ -132,11 +98,13 @@ class _LRU:
 
 
 class ResultCache(_LRU):
-    """Completed campaign payloads, keyed by :class:`CampaignKey`."""
+    """Completed campaign payloads, keyed by
+    :class:`~repro.core.request.TuneRequest`."""
 
 
 class ModelCache(_LRU):
-    """Fitted performance models, keyed by ``CampaignKey.model_key()``."""
+    """Fitted performance models, keyed by what determines them:
+    ``(kernel, device, n_train, seed, fit_mode)``."""
 
 
 class ClientAccount:

@@ -210,12 +210,16 @@ DEVICES = {
 MAIN_DEVICES = ("intel", "nvidia", "amd")
 
 
+def device_key(key: str) -> str:
+    """The :data:`DEVICES` key of a device given by short key or full
+    name (case-insensitive)."""
+    k = key.strip().lower()
+    for short, dev in DEVICES.items():
+        if k in (short, dev.name.lower()):
+            return short
+    raise KeyError(f"unknown device {key!r}; known: {sorted(DEVICES)}")
+
+
 def get_device(key: str) -> DeviceSpec:
     """Look a device up by short key or full name (case-insensitive)."""
-    k = key.strip().lower()
-    if k in DEVICES:
-        return DEVICES[k]
-    for dev in DEVICES.values():
-        if dev.name.lower() == k:
-            return dev
-    raise KeyError(f"unknown device {key!r}; known: {sorted(DEVICES)}")
+    return DEVICES[device_key(key)]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import _parse_config, build_parser, main
 from repro.kernels import ConvolutionKernel
+from repro.obs import load_trace
 
 
 class TestParseConfig:
@@ -67,6 +68,26 @@ class TestCommands:
         )
         assert rc == 0
         assert "best configuration" in capsys.readouterr().out
+
+    def test_tune_pin_needs_strategy(self):
+        # A pin only constrains a search: without --strategy the CLI must
+        # refuse, not run the ANN tuner unpinned.
+        with pytest.raises(SystemExit, match="--strategy"):
+            main(["tune", "-k", "convolution", "-d", "nvidia", "-n", "300",
+                  "-m", "30", "--pin", "use_local=1"])
+
+    def test_tune_iterative_honours_fit_mode(self, tmp_path, capsys):
+        path = tmp_path / "iterative.jsonl"
+        rc = main(
+            ["tune", "-k", "convolution", "-d", "nvidia", "--iterative",
+             "--budget", "200", "--rounds", "2", "--seed", "2",
+             "--fit-mode", "classic", "--trace", str(path)]
+        )
+        assert rc == 0
+        fits = [r for r in load_trace(path)
+                if r.get("type") == "span" and r["name"] == "ensemble.fit"]
+        assert fits
+        assert {r["attrs"]["mode"] for r in fits} == {"classic"}
 
     def test_predict_roundtrip(self, capsys):
         rc = main(

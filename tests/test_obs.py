@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.campaign import run_campaign_grid
 from repro.core.measure import Measurer
+from repro.core.model import PerformanceModel
 from repro.core.search import exhaustive_search
 from repro.core.tuner import MLAutoTuner, TunerSettings
 from repro.kernels import ConvolutionKernel
@@ -369,6 +370,7 @@ class TestCampaignGridTraces:
             max_workers=2,
             seed=13,
             tracer=tracer,
+            faults="flaky-gpu",
         )
         tracer.close()
         records = load_trace(path)
@@ -377,6 +379,11 @@ class TestCampaignGridTraces:
         # One worker manifest per cell, one fleet-wide counters record.
         manifests = [r for r in records if r["type"] == "worker_manifest"]
         assert len(manifests) == 2
+        # Each worker manifest records the cell's whole request.
+        for m in manifests:
+            assert m["faults"] == "flaky-gpu"
+            assert m["seed"] == 13 and m["strategy"] == "ml"
+            assert m["settings"]["n_train"] == 150
         assert len([r for r in records if r["type"] == "counters"]) == 1
         # Each worker contributed a full tune span tree.
         tune_spans = spans_of(records, "tune")
@@ -418,6 +425,32 @@ class TestCampaignGridTraces:
             seed=13,
         )
         assert list(tmp_path.iterdir()) == []
+
+
+class TestDetachTracer:
+    def test_detached_model_is_silent_and_bit_identical(self):
+        spec = ConvolutionKernel()
+        ctx = Context(NVIDIA_K40, seed=6)
+        sample = Measurer(ctx, spec).sample_and_measure(
+            150, np.random.default_rng(6)
+        )
+        sink = Tracer()
+        model = PerformanceModel(spec.space, seed=6, tracer=sink)
+        model.fit_measurements(sample)
+        probe = np.arange(0, spec.space.size, 97, dtype=np.int64)
+        before = (model.predict_indices(probe), model.top_m(25))
+        sweeper = model._sweeper
+        n_records, counters = len(sink.records), dict(sink.counters)
+        assert counters["model.configs_predicted"] > 0
+
+        assert model.detach_tracer() is model
+        after = (model.predict_indices(probe), model.top_m(25))
+        # Nothing reached the old sink: no span, no counter.
+        assert len(sink.records) == n_records
+        assert sink.counters == counters
+        assert model._sweeper is sweeper  # kept, not recompiled
+        np.testing.assert_array_equal(after[0], before[0])
+        np.testing.assert_array_equal(after[1], before[1])
 
 
 class TestTraceSummary:

@@ -11,12 +11,13 @@ import pytest
 
 from repro import Context, MLAutoTuner, TunerSettings
 from repro.core.measure import Measurer
+from repro.core.request import TuneRequest
 from repro.kernels import get_benchmark
 from repro.serve import protocol
 from repro.serve.broker import MeasurementBroker
 from repro.serve.client import ServerRejected, TuningClient, run_load
 from repro.serve.server import ServerThread, TuningServer
-from repro.serve.state import CampaignKey, ClientAccount, ResultCache
+from repro.serve.state import ClientAccount, ResultCache
 from repro.simulator.devices import get_device
 
 SMALL = dict(n_train=300, m_candidates=30)
@@ -157,10 +158,14 @@ class TestState:
         assert acct.effective_budget_s(5.0) == 5.0
 
     def test_campaign_key_identity(self):
-        a = CampaignKey("k", "d", "p", 100, 10, 0)
-        assert a == CampaignKey("k", "d", "p", 100, 10, 0)
-        assert a != CampaignKey("k", "d", "p", 100, 10, 1)
-        assert a != CampaignKey("k", "d", "p", 100, 10, 0, budget_s=5.0)
+        def key(seed=0, **kw):
+            settings = TunerSettings(n_train=100, m_candidates=10, **kw)
+            return TuneRequest("convolution", "nvidia", seed, settings=settings)
+
+        a = key()
+        assert a == key() and hash(a) == hash(key())
+        assert a != key(seed=1)
+        assert a != key(max_cost_s=5.0)
 
 
 # -- the daemon ----------------------------------------------------------------
@@ -194,9 +199,9 @@ class TestServer:
         from repro.serve.state import WatchKey
 
         server = TuningServer()
-        key = CampaignKey(
-            kernel="convolution", device="nvidia", problem=None,
-            n_train=50, m_candidates=10, seed=3, budget_s=None,
+        key = TuneRequest(
+            kernel="convolution", device="nvidia", seed=3,
+            settings=TunerSettings(n_train=50, m_candidates=10),
             faults="flaky-gpu",
         )
         flight = _InFlight(key)
@@ -227,7 +232,8 @@ class TestServer:
         assert watch_entry["failure_breakdown"] == {}
 
     def test_bad_requests_keep_connection_alive(self, daemon):
-        _, port = daemon
+        server, port = daemon
+        campaigns = server.counters["campaigns"]
         with TuningClient("127.0.0.1", port) as c:
             c.sock.sendall(b"not json\n")
             assert c.recv()["type"] == "error"
@@ -238,7 +244,15 @@ class TestServer:
             c.send({"op": "tune", "kernel": "convolution", "device": "nvidia",
                     "faults": "bogus-profile"})
             assert c.recv()["type"] == "error"
+            # Fewer stage-one samples than bagging folds: rejected at
+            # admission with a typed error, never acked as a campaign.
+            c.send({"op": "tune", "kernel": "convolution", "device": "nvidia",
+                    "n_train": 5, "m_candidates": 3})
+            reply = c.recv()
+            assert reply["type"] == "error"
+            assert "n_train must be >= k_bag" in reply["error"]
             assert c.ping()
+        assert server.counters["campaigns"] == campaigns
 
     def test_concurrent_identical_requests_coalesce_bit_identical(self):
         """The tentpole contract: N concurrent identical requests run ONE

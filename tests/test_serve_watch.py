@@ -149,3 +149,23 @@ def test_watch_rejects_unknown_profiles_and_drains():
                 client.watch("nope", "nvidia", steps=1)
             # The connection survived both errors.
             assert client.ping()
+
+
+# -- drift-smoke onset probe ---------------------------------------------------
+
+
+def test_smoke_probe_equals_the_watch_initial_tune_cost():
+    """``make drift-smoke`` places the drift onset after the watch's
+    initial tune, probed locally.  The probe must run the watch's own
+    path (an OnlineTuner, which pins freezing off), or the onset lands
+    while the server-side watch is still tuning."""
+    from repro.serve.campaigns import run_watch
+    from repro.serve.smoke import _probe_tune_cost_s
+
+    params = protocol.validate_watch({
+        "kernel": "convolution", "device": "nvidia", "n_train": 300,
+        "m_candidates": 30, "seed": 0, "steps": 0,
+    })
+    watch = run_watch(params)
+    probe = _probe_tune_cost_s("convolution", "nvidia", 300, 30, 0)
+    assert probe == watch["result"]["initial_cost_s"]
