@@ -3,11 +3,13 @@
 Pins the sweep engine's contract on a >= 500K-configuration sweep
 (raycasting: 655,360 configs):
 
-* the float64 lane is >= 4x faster than the chunked reference path
-  (``PerformanceModel.predict_indices_reference``) in a single process;
+* the sweep is >= 4x faster than the reference path
+  (``PerformanceModel.predict_indices_reference``, chunked alike) in a
+  single process;
 * its predictions match the reference to <= 1e-9 relative;
-* the end-to-end tuner picks the *same* configuration with the engine on
-  and off at the fig11 paper-anchor settings (N=2000/M=200, N=500/M=100).
+* at the fig11 paper-anchor settings (N=2000/M=200, N=500/M=100) the
+  tuned model's top-M equals the exact selection over the reference
+  path's whole-space predictions.
 
 Each run also appends a trajectory point (configs/sec, speedup, peak
 RSS) to ``benchmarks/BENCH_sweep.json`` so regressions show up as a
@@ -24,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.model import PerformanceModel
-from repro.core.sweep import SweepSettings
+from repro.core.sweep import select_top_m
 from repro.core.tuner import MLAutoTuner, TunerSettings
 from repro.experiments.oracle import TrueTimeOracle
 from repro.kernels import ConvolutionKernel, RaycastingKernel
@@ -101,7 +103,7 @@ def test_sweep_speedup_and_parity(ray_model):
         f"prediction sweep, {n:,} raycasting configs (K40 model):\n"
         f"  reference (chunked): {t_ref:8.3f} s "
         f"({n / t_ref:12,.0f} configs/s)\n"
-        f"  fused sweeper (f64): {t_sweep:8.3f} s "
+        f"  fused sweeper      : {t_sweep:8.3f} s "
         f"({n / t_sweep:12,.0f} configs/s)\n"
         f"  speedup            : {speedup:8.2f}x\n"
         f"  max relative error : {rel:.3e}\n"
@@ -121,15 +123,13 @@ def test_sweep_speedup_and_parity(ray_model):
             "peak_rss_mb": round(peak_rss_mb),
         }
     )
-    assert rel <= MAX_REL_ERR, f"float64 lane off by {rel:.2e} relative"
+    assert rel <= MAX_REL_ERR, f"sweep off by {rel:.2e} relative"
     assert speedup >= MIN_SPEEDUP, f"sweeper only {speedup:.2f}x faster"
 
 
 def test_streaming_top_m_matches_full_selection(ray_model):
     """Streaming top-M over 655K configs == selection over the full
     prediction array, element for element."""
-    from repro.core.sweep import select_top_m
-
     spec, model = ray_model
     pred = model.predict_all()
     _, want = select_top_m(pred, np.arange(spec.space.size, dtype=np.int64), 300)
@@ -137,44 +137,28 @@ def test_streaming_top_m_matches_full_selection(ray_model):
     np.testing.assert_array_equal(got, want)
 
 
-def test_float32_lane_throughput_and_overlap(ray_model):
-    spec, model = ray_model
-    n = spec.space.size
-    fast = PerformanceModel(
-        spec.space, seed=21, sweep=SweepSettings(dtype="float32")
-    )
-    fast._model = model._model
-    t0 = time.perf_counter()
-    top_fast = fast.top_m(300)
-    t_f32 = time.perf_counter() - t0
-    overlap = len(set(top_fast.tolist()) & set(model.top_m(300).tolist())) / 300
-    emit(
-        f"float32 lane, {n:,} configs: {t_f32:.3f} s "
-        f"({n / t_f32:,.0f} configs/s), top-300 overlap {overlap:.1%}"
-    )
-    assert overlap >= 0.99
-
-
 @pytest.mark.parametrize("n_train,m", [(2000, 200), (500, 100)])
 def test_tuner_pick_unchanged_by_engine(n_train, m):
     """The engine is a perf change, not a semantic one: at the fig11
-    paper-anchor settings the tuner's best_index must not move."""
+    paper-anchor settings the tuned model's top-M, the stage-two
+    candidates, equals the exact selection over the reference path's
+    whole-space predictions."""
     spec = ConvolutionKernel()
-
-    def tune(sweep):
-        ctx = Context(NVIDIA_K40, seed=13)
-        settings = TunerSettings(n_train=n_train, m_candidates=m, sweep=sweep)
-        tuner = MLAutoTuner(ctx, spec, settings)
-        return tuner.tune(np.random.default_rng(13), model_seed=13)
-
-    on = tune(SweepSettings())
-    off = tune(SweepSettings(enabled=False))
-    emit(
-        f"tuner pick, N={n_train}, M={m}: engine on -> {on.best_index}, "
-        f"off -> {off.best_index}"
+    ctx = Context(NVIDIA_K40, seed=13)
+    tuner = MLAutoTuner(
+        ctx, spec, TunerSettings(n_train=n_train, m_candidates=m)
     )
-    assert on.best_index == off.best_index
-    assert on.best_time_s == off.best_time_s
+    tuner.tune(np.random.default_rng(13), model_seed=13)
+    everything = np.arange(spec.space.size, dtype=np.int64)
+    ref = tuner.model.predict_indices_reference(everything)
+    _, want = select_top_m(ref, everything, m)
+    got = tuner.model.top_m(m)
+    emit(
+        f"tuned model top-{m}, N={n_train}: sweep best {got[0]}, "
+        f"reference best {want[0]}, "
+        f"{int(np.sum(got == want))}/{m} positions equal"
+    )
+    np.testing.assert_array_equal(got, want)
 
 
 def test_perf_sweep_throughput(benchmark, ray_model):

@@ -10,7 +10,6 @@
     python -m repro trace-summary trace.jsonl
     python -m repro predict -k convolution -d nvidia -n 500 \
         --config "wg_x=32,wg_y=4,ppt_x=2,ppt_y=2,use_image=1,use_local=0,pad=1,interleaved=1,unroll=1"
-    python -m repro sweep-bench -k raycasting -d nvidia   # sweep engine timings
     python -m repro fit-bench -k convolution -d gtx980    # training engine timings
     python -m repro experiments --only fig01      # reproduction harness
     python -m repro bench-report                  # perf-gate trajectory table
@@ -428,74 +427,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_sweep_bench(args) -> int:
-    import time
-
-    from repro.core.sweep import SweepSettings
-
-    spec = get_benchmark(args.kernel)
-    device = get_device(args.device)
-    ctx = Context(device, seed=args.seed)
-    measurer = Measurer(ctx, spec)
-    rng = np.random.default_rng(args.seed)
-
-    print(f"training on {args.n_train} random configurations ...")
-    ms = measurer.sample_and_measure(args.n_train, rng)
-    model = PerformanceModel(spec.space, seed=args.seed).fit_measurements(ms)
-
-    n = spec.space.size
-    limit = min(n, args.limit) if args.limit else n
-    idx = np.arange(limit, dtype=np.int64) if limit < n else None
-    print(f"sweeping {limit} of {n} configurations, top-{args.top_m} ...")
-
-    def bench(label, settings):
-        # Same fitted weights under different engine settings.
-        m = PerformanceModel(spec.space, seed=args.seed, sweep=settings)
-        m._model = model._model
-        t0 = time.perf_counter()
-        if settings is not None and not settings.enabled:
-            pred = m.predict_indices_reference(
-                np.arange(limit, dtype=np.int64) if idx is None else idx
-            )
-            top = None
-        else:
-            pred = m.predict_all() if idx is None else m.predict_indices(idx)
-            top = m.top_m(args.top_m, idx)
-        dt = time.perf_counter() - t0
-        print(f"{label:24s} {dt:8.3f} s   {limit / dt:12,.0f} configs/s")
-        return pred, top, dt
-
-    ref_pred, _, ref_dt = bench(
-        "reference (chunked)", SweepSettings(enabled=False)
-    )
-    f64_pred, f64_top, f64_dt = bench("sweeper float64", SweepSettings())
-    f32_pred, f32_top, _ = bench("sweeper float32", SweepSettings(dtype="float32"))
-    if args.workers > 1:
-        _, mw_top, _ = bench(
-            f"sweeper float64 x{args.workers}",
-            SweepSettings(workers=args.workers),
-        )
-    else:
-        mw_top = None
-
-    rel = np.max(
-        np.abs(f64_pred - ref_pred) / np.maximum(np.abs(ref_pred), 1e-300)
-    )
-    overlap = len(set(f32_top.tolist()) & set(f64_top.tolist())) / max(
-        len(f64_top), 1
-    )
-    print(f"speedup (f64 vs reference) : {ref_dt / f64_dt:.2f}x")
-    print(f"float64 max relative error : {rel:.3e}")
-    print(f"float32 top-{args.top_m} overlap     : {overlap:.1%}")
-    f32_rel = np.max(
-        np.abs(f32_pred - ref_pred) / np.maximum(np.abs(ref_pred), 1e-300)
-    )
-    print(f"float32 max relative error : {f32_rel:.3e}")
-    if mw_top is not None:
-        print(f"multi-worker top-M equal   : {bool(np.array_equal(mw_top, f64_top))}")
-    return 0
-
-
 def cmd_fit_bench(args) -> int:
     """Benchmark the adaptive ensemble-training engine against classic."""
     from repro.ml.ensemble import EnsembleMLPRegressor
@@ -801,23 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated name=value pairs")
     pred.add_argument("--seed", type=int, default=0)
     pred.set_defaults(fn=cmd_predict)
-
-    swb = sub.add_parser(
-        "sweep-bench",
-        help="benchmark the fused prediction-sweep engine vs the reference",
-    )
-    swb.add_argument("-k", "--kernel", default="raycasting",
-                     choices=sorted(BENCHMARKS))
-    swb.add_argument("-d", "--device", default="nvidia")
-    swb.add_argument("-n", "--n-train", type=int, default=600)
-    swb.add_argument("--top-m", type=int, default=200)
-    swb.add_argument("--limit", type=int, default=None,
-                     help="sweep only the first LIMIT configurations")
-    swb.add_argument("--workers", type=int, default=2,
-                     help="also time a multi-process sweep with this many "
-                          "workers (1 disables)")
-    swb.add_argument("--seed", type=int, default=0)
-    swb.set_defaults(fn=cmd_sweep_bench)
 
     ftb = sub.add_parser(
         "fit-bench",

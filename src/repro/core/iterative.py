@@ -18,7 +18,7 @@ random evidence about the rest of the space next round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ import numpy as np
 from repro.core.measure import MeasurementSet, Measurer
 from repro.core.model import PerformanceModel
 from repro.core.results import TuningResult
-from repro.core.sweep import SweepSettings
 from repro.kernels.base import KernelSpec
 from repro.runtime import Context
 
@@ -45,8 +44,6 @@ class IterativeSettings:
     initial_fraction: float = 0.4
     exploration: float = 0.2
     k_bag: int = 11
-    #: Prediction-sweep engine knobs for every round's model.
-    sweep: SweepSettings = field(default_factory=SweepSettings)
     #: Ensemble training engine for every round's model ("adaptive" or
     #: "classic" — see :class:`repro.ml.ensemble.EnsembleMLPRegressor`).
     fit_mode: str = "adaptive"
@@ -126,7 +123,7 @@ class IterativeTuner:
                         continue
                     self.model = PerformanceModel(
                         space, k=s.k_bag, seed=model_seed, tracer=tracer,
-                        sweep=s.sweep, fit_mode=s.fit_mode,
+                        fit_mode=s.fit_mode,
                     )
                     self.model.fit(data.indices, data.times_s)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -10,7 +10,6 @@ import numpy as np
 from repro.core.measure import MeasurementSet, Measurer
 from repro.core.model import PerformanceModel
 from repro.core.results import TuningResult
-from repro.core.sweep import SweepSettings
 from repro.kernels.base import KernelSpec
 from repro.runtime import Context
 
@@ -48,10 +47,6 @@ class TunerSettings:
         configurations are measured — bounded, and charged to the ledger
         like any measurement (§5.2 drops invalids but still trains on
         real samples).  A run that replenished is marked ``degraded``.
-    sweep:
-        Prediction-sweep engine knobs
-        (:class:`~repro.core.sweep.SweepSettings`) passed through to the
-        performance model — chunking, the float32 lane, process sharding.
     max_cost_s:
         Optional cap on the *simulated* seconds (ledger spend) this run
         may consume.  ``None`` (the default) reproduces the paper's
@@ -79,7 +74,6 @@ class TunerSettings:
     candidate_pool: Optional[int] = None
     filter_known_invalid: bool = False
     replenish_rounds: int = 4
-    sweep: SweepSettings = field(default_factory=SweepSettings)
     max_cost_s: Optional[float] = None
     fit_mode: str = "adaptive"
     freeze_patience: Optional[float] = None
@@ -193,7 +187,6 @@ class MLAutoTuner:
             k=self.settings.k_bag,
             seed=seed,
             tracer=self.context.tracer,
-            sweep=self.settings.sweep,
             fit_mode=self.settings.fit_mode,
             freeze_patience=self.settings.freeze_patience,
             freeze_tol=self.settings.freeze_tol,

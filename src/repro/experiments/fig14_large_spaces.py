@@ -16,7 +16,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.model import PerformanceModel
-from repro.core.sweep import SweepSettings
 from repro.experiments.oracle_store import OracleProvider
 from repro.experiments.presets import get_preset
 from repro.experiments.reporting import header, table
@@ -33,7 +32,6 @@ def tune_large_space(
     m_candidates: int,
     random_budget: int,
     seed: int = 0,
-    sweep: Optional[SweepSettings] = None,
     oracles: Optional[OracleProvider] = None,
 ) -> Dict:
     provider = oracles if oracles is not None else OracleProvider()
@@ -56,7 +54,7 @@ def tune_large_space(
     if ok.sum() < 11:
         result.update(slowdown=float("nan"), failed=True, reason="too few valid samples")
         return result
-    model = PerformanceModel(spec.space, seed=seed, sweep=sweep)
+    model = PerformanceModel(spec.space, seed=seed)
     model.fit(train_idx[ok], measured[ok])
 
     # Stage two: one fused streaming sweep of the whole space.
@@ -90,7 +88,6 @@ def run(
     preset=None,
     devices=MAIN_DEVICES,
     seed: int = 0,
-    sweep: Optional[SweepSettings] = None,
     oracles: Optional[OracleProvider] = None,
 ) -> Dict:
     p = get_preset(preset)
@@ -104,7 +101,6 @@ def run(
                 m_candidates=p.fig14_m,
                 random_budget=p.fig14_random_budget,
                 seed=seed,
-                sweep=sweep,
                 oracles=oracles,
             )
     return {

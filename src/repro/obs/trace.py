@@ -7,7 +7,8 @@ to answer "where did the simulated seconds (and the wall-clock) go?" per
 * :class:`Tracer` — records nestable timed spans, typed counters/gauges
   and ad-hoc events, and streams them as JSON Lines to a file (or keeps
   them in memory when no path is bound).  A trace opens with a manifest
-  record identifying the run (kernel, device, settings, seeds, git rev).
+  record identifying the run (kernel, device, settings, seeds, git rev)
+  and the numeric stack it ran on (NumPy, BLAS, core count).
 * :class:`NullTracer` / :data:`NULL_TRACER` — the disabled tracer every
   component uses by default.  All of its methods are no-ops, so
   instrumentation costs a handful of attribute lookups per *batch* (never
@@ -20,9 +21,9 @@ ledger delta across its lifetime as ``cost_s``.  Sibling spans therefore
 partition their parent's cost exactly — the property the trace-summary
 reporter and the acceptance tests rely on.
 
-The module is dependency-free (stdlib + nothing from the rest of the
-package), so any layer — ``ml``, ``core``, ``runtime`` — may import it
-without cycles.
+The module imports nothing from the rest of the package (only the stdlib,
+plus NumPy when a manifest is built), so any layer — ``ml``, ``core``,
+``runtime`` — may import it without cycles.
 """
 
 from __future__ import annotations
@@ -75,10 +76,25 @@ def git_revision(start: Optional[Path] = None) -> Optional[str]:
 
 
 def run_manifest(**fields) -> Dict[str, Any]:
-    """Standard manifest payload: caller fields + environment provenance."""
+    """Standard manifest payload: caller fields + environment provenance.
+
+    The numeric stack (NumPy, BLAS, core count) is recorded because
+    float32 GEMM rounding depends on it: a tolerance that fails on one
+    host should name the build it failed on.
+    """
+    import numpy as np
+
+    try:  # NumPy releases before 1.26 take no ``mode``
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError, ValueError):
+        blas = None
     manifest: Dict[str, Any] = dict(fields)
     manifest.setdefault("git_rev", git_revision())
     manifest.setdefault("python", sys.version.split()[0])
+    manifest.setdefault("numpy", np.__version__)
+    manifest.setdefault("blas", blas)
+    manifest.setdefault("nproc", os.cpu_count())
     manifest.setdefault("created_unix_s", time.time())
     return manifest
 

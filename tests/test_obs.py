@@ -6,6 +6,7 @@ run's ledger delta), and campaign grids merging per-worker traces.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -155,6 +156,10 @@ class TestManifestAndSchema:
         assert first["kernel"] == "k" and first["device"] == "d"
         assert first["seed"] == 3
         assert "git_rev" in first and "python" in first
+        # The numeric stack a float32 tolerance depends on.
+        assert first["numpy"] == np.__version__
+        assert "blas" in first
+        assert first["nproc"] == os.cpu_count()
 
     def test_git_revision_resolves_in_this_repo(self):
         rev = git_revision()

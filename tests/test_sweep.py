@@ -1,24 +1,26 @@
-"""Property tests for the fused prediction-sweep engine.
+"""Property tests for the one prediction-sweep path.
 
-The engine's contract (``src/repro/core/sweep.py``):
+The contract of ``src/repro/core/sweep.py``:
 
-* the float64 lane matches the chunked reference path to <= 1e-9
-  relative (with and without the log transform);
-* the float32 lane's top-M overlaps the exact lane's >= 99%;
-* top-M is deterministic under prediction ties (smallest index wins) and
-  identical across chunk sizes, streaming vs full selection, and worker
-  counts;
+* the sweep and ``PerformanceModel.predict_indices_reference`` cut the
+  same indices into the same ``SWEEP_CHUNK`` rows, so both run the same
+  float32 GEMMs on the same rows and differ only in the order of their
+  float64 epilogues — by at most the bound :func:`epilogue_bound`
+  derives, with and without the log transform;
+* the same rows in the same chunks give the same bits;
+* top-M breaks prediction ties by smallest index, equals the exact
+  selection over the reference path's predictions, and is nested in M;
+* a custom model family, with no weights to fold, uses the reference
+  path;
 * empty and singleton candidate sets behave like the reference.
 """
 
 import numpy as np
 import pytest
 
-import repro.core.sweep as sweep_mod
 from repro.core.model import PerformanceModel
 from repro.core.sweep import (
     PredictionSweeper,
-    SweepSettings,
     _TopMAccumulator,
     select_top_m,
 )
@@ -44,14 +46,51 @@ def fitted(spec):
     return model
 
 
-def make_sweeper(model, **kw):
+def make_sweeper(model):
     return PredictionSweeper(
-        model.space,
-        model.encoder,
-        model._model,
+        model.space, model.encoder, model._model,
         log_transform=model.log_transform,
-        settings=SweepSettings(**kw),
     )
+
+
+#: Unit roundoff of float64 (round to nearest).
+EPS = 2.0**-53
+
+
+def epilogue_bound(model, idx):
+    """Largest ``|sweep - reference|`` the two float64 epilogues allow, in
+    the units of the regression target (log-seconds, or seconds without
+    the log transform).
+
+    Both paths start from the same float32 member outputs ``p_j``
+    (j = 1..k: same rows, same chunks, same GEMMs) and compute
+    ``y = u + s * mean_j(p_j)`` with the y-scaler ``(u, s)``:
+
+    * reference: ``t_j = fl(fl(s * p_j) + u)`` per member, then a
+      sequential sum over j and a division by k;
+    * sweep: a sequential sum of the ``p_j`` in float64, a division by
+      k, then ``fl(fl(s * mean) + u)``.
+
+    Let ``L`` bound every term: ``|u|``, ``|s * p_j|``, ``|t_j|`` and so
+    ``|y|``; ``L = max|t_j| + |u|`` does.  Each rounding errs by at most
+    ``EPS`` times the magnitude of its result, to first order (the
+    neglected terms are of order ``k**2 * EPS**2 * L``, below 1e-28 for
+    these models).  The i-th partial sum is at most ``i * L``, so a k-term
+    sum errs by at most ``EPS * L * (2 + ... + k)``, which is below
+    ``EPS * L * (k + 1) / 2`` after the division by k.  Each path
+    adds three more roundings of at most ``L``: two per member term and
+    the division (reference), or the division, product and sum (sweep).
+    So each path is within ``EPS * L * ((k + 1) / 2 + 3)`` of the exact
+    ``y``, and the two within ``(k + 7) * EPS * L`` of each other.
+    """
+    members = model._model._member_predictions(model.encoder.encode_indices(idx))
+    u = abs(float(model._model._y_scaler.mean_[0]))
+    return (model.k + 7) * EPS * (float(np.max(np.abs(members))) + u)
+
+
+#: Rounding of the final ``exp`` in each path, relative: a generous 4 ulp
+#: (8 EPS) per call.
+EXP_ROUNDING = 2 * 8 * EPS
 
 
 class TestSelectTopM:
@@ -121,30 +160,23 @@ class TestSelectTopM:
         np.testing.assert_array_equal(idx, base_idx)
 
 
-class TestSweepSettings:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SweepSettings(chunk=16)
-        with pytest.raises(ValueError):
-            SweepSettings(dtype="float16")
-        with pytest.raises(ValueError):
-            SweepSettings(workers=-1)
-
-    def test_defaults(self):
-        s = SweepSettings()
-        assert s.enabled and s.dtype == "float64" and s.workers == 0
-
-
 class TestFloat64Parity:
-    """The exact lane vs the chunked reference path."""
+    """The sweep against the reference path: the same float32 forward
+    pass, two float64 epilogues."""
 
     def test_parity_on_random_subset(self, fitted):
+        """In log space the epilogues differ by at most
+        :func:`epilogue_bound`; ``exp`` turns that absolute difference
+        into the same relative one (``exp(y + d) / exp(y) - 1 ~ d``), plus
+        each path's own ``exp`` rounding."""
         rng = np.random.default_rng(3)
         idx = rng.choice(fitted.space.size, 50_001, replace=False).astype(np.int64)
         ref = fitted.predict_indices_reference(idx)
         got = make_sweeper(fitted).predict(idx)
         rel = np.max(np.abs(got - ref) / np.abs(ref))
-        assert rel <= 1e-9
+        bound = epilogue_bound(fitted, idx) + EXP_ROUNDING
+        assert bound <= 1e-9
+        assert rel <= bound
 
     def test_parity_without_log_transform(self, spec):
         oracle = TrueTimeOracle(spec, NVIDIA_K40)
@@ -158,15 +190,21 @@ class TestFloat64Parity:
         probe = np.arange(0, spec.space.size, 17, dtype=np.int64)
         ref = model.predict_indices_reference(probe)
         got = make_sweeper(model).predict(probe)
-        rel = np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300))
-        assert rel <= 1e-9
+        # Seconds, no exp: the epilogue bound applies as it stands.
+        assert np.max(np.abs(got - ref)) <= epilogue_bound(model, probe)
 
     def test_parity_across_chunk_sizes(self, fitted):
+        """The 11,916-row probe swept whole (chunks of 2^14 and 2^16) and
+        in 256- and 1,024-row chunks agrees bit for bit on the builds
+        measured so far (OpenBLAS 0.3.31, SkylakeX kernels): each row's
+        float32 GEMM rounds the same whatever the row count.  That is a
+        property of the BLAS build, not of the contract, which fixes the
+        bits only for a fixed tiling."""
+        s = make_sweeper(fitted)
         idx = np.arange(0, fitted.space.size, 11, dtype=np.int64)
-        base = make_sweeper(fitted, chunk=1 << 14).predict(idx)
+        base = s._predict(idx, chunk=1 << 14)
         for chunk in (256, 1 << 10, 1 << 16):
-            got = make_sweeper(fitted, chunk=chunk).predict(idx)
-            np.testing.assert_array_equal(got, base)
+            np.testing.assert_array_equal(s._predict(idx, chunk=chunk), base)
 
     def test_range_work_equals_array_work(self, fitted):
         s = make_sweeper(fitted)
@@ -185,14 +223,6 @@ class TestTopM:
         _, want = select_top_m(ref, idx, 300)
         got = make_sweeper(fitted).top_m(300)
         np.testing.assert_array_equal(got, want)
-
-    def test_model_routes_match_either_engine(self, fitted):
-        """PerformanceModel.top_m gives the same answer with the sweeper
-        enabled and with it disabled (the reference fallback)."""
-        on = PerformanceModel(fitted.space, seed=7)
-        off = PerformanceModel(fitted.space, seed=7, sweep=SweepSettings(enabled=False))
-        on._model = off._model = fitted._model
-        np.testing.assert_array_equal(on.top_m(100), off.top_m(100))
 
     def test_nested_prefix_property(self, fitted):
         """top_m(M) is a prefix of top_m(M') for M < M' — what the tuner's
@@ -261,59 +291,3 @@ class TestEdgeCases:
         ).fit(idx[ok], t[ok])
         assert model._get_sweeper() is None
         assert model.top_m(5).shape == (5,)
-
-
-class TestFloat32Lane:
-    def test_top_m_overlap(self, fitted):
-        exact = make_sweeper(fitted).top_m(200)
-        fast = make_sweeper(fitted, dtype="float32").top_m(200)
-        overlap = len(set(exact.tolist()) & set(fast.tolist())) / 200
-        assert overlap >= 0.99
-
-    def test_predictions_close(self, fitted):
-        idx = np.arange(0, fitted.space.size, 29, dtype=np.int64)
-        ref = fitted.predict_indices_reference(idx)
-        fast = make_sweeper(fitted, dtype="float32").predict(idx)
-        rel = np.max(np.abs(fast - ref) / np.abs(ref))
-        assert rel < 1e-4  # float32 forward pass, not the exact lane
-
-    def test_output_contract_is_float64(self, fitted):
-        out = make_sweeper(fitted, dtype="float32").predict(
-            np.arange(100, dtype=np.int64)
-        )
-        assert out.dtype == np.float64
-
-
-class TestSharding:
-    def test_multi_worker_equals_single(self, fitted, monkeypatch):
-        """Shard boundaries must not change any result bit."""
-        monkeypatch.setattr(sweep_mod, "MIN_CONFIGS_PER_WORKER", 1 << 12)
-        idx = np.arange(0, 40_000, dtype=np.int64)
-        single = make_sweeper(fitted)
-        multi = make_sweeper(fitted, workers=2)
-        assert multi._n_shards(idx.shape[0]) == 2  # sharding actually engaged
-        np.testing.assert_array_equal(multi.predict(idx), single.predict(idx))
-        np.testing.assert_array_equal(multi.top_m(150, idx), single.top_m(150, idx))
-
-    def test_small_sweeps_stay_inline(self, fitted):
-        s = make_sweeper(fitted, workers=8)
-        assert s._n_shards(100) == 1  # pool would cost more than it buys
-
-    def test_shard_traces_merge_into_parent(self, fitted, monkeypatch, tmp_path):
-        from repro.obs import Tracer
-
-        monkeypatch.setattr(sweep_mod, "MIN_CONFIGS_PER_WORKER", 1 << 12)
-        path = tmp_path / "sweep.trace.jsonl"
-        tracer = Tracer(path)
-        s = PredictionSweeper(
-            fitted.space,
-            fitted.encoder,
-            fitted._model,
-            settings=SweepSettings(workers=2),
-            tracer=tracer,
-        )
-        s.top_m(50, np.arange(0, 20_000, dtype=np.int64))
-        tracer.close()
-        text = path.read_text()
-        assert "sweep.shard" in text
-        assert "sweep-shard-0" in text and "sweep-shard-1" in text
