@@ -35,7 +35,7 @@ test-search:
 	$(PYTHON) -m pytest tests/ -m search
 
 bench:
-	cd benchmarks && PYTHONPATH=../src $(PYTHON) -m pytest .
+	cd benchmarks && PYTHONPATH=../src:.. $(PYTHON) -m pytest .
 
 serve-smoke:
 	$(PYTHON) -m repro.serve.smoke

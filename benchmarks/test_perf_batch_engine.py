@@ -2,10 +2,11 @@
 
 Pins the acceptance criterion of the batch engine: on a 10K-configuration
 convolution sweep, ``Measurer.measure_batch`` must be at least 5x faster
-than the scalar ``measure()`` loop *and* produce bit-identical results for
-the same seed.  Also times the engine's throughput on its own for the
-benchmark log, and the durable-cache replay path (everything served from
-the MeasurementDB, no simulation at all).
+than the scalar per-config ``measure()`` loop over the runtime facade
+(the reference kept in ``tests/serial_reference.py``) *and* produce
+bit-identical results for the same seed.  Also times the engine's
+throughput on its own for the benchmark log, and the durable-cache replay
+path (everything served from the MeasurementDB, no simulation at all).
 """
 
 import time
@@ -19,6 +20,7 @@ from repro.core.search import exhaustive_search
 from repro.kernels import ConvolutionKernel
 from repro.runtime import Context
 from repro.simulator import NVIDIA_K40
+from tests.serial_reference import SerialReference
 
 from conftest import emit
 
@@ -39,7 +41,7 @@ def test_batch_engine_speedup_and_bit_identity(conv, sweep_indices):
     """measure_batch >= 5x faster than the scalar loop, same results."""
     ctx_scalar = Context(NVIDIA_K40, seed=7)
     ctx_batch = Context(NVIDIA_K40, seed=7)
-    m_scalar = Measurer(ctx_scalar, conv, repeats=3)
+    m_scalar = SerialReference(ctx_scalar, conv, repeats=3)
     m_batch = Measurer(ctx_batch, conv, repeats=3)
 
     t0 = time.perf_counter()

@@ -8,7 +8,8 @@ engine, faults or drift on the context degraded ``measure_batch`` to
 the serial per-config loop; the gate pins the recovery:
 
 * **speed** — the wave engine is at least ``MIN_SPEEDUP``x faster than
-  the serial resilient loop on the same campaign;
+  the serial resilient loop (the reference kept in
+  ``tests/serial_reference.py``) on the same campaign;
 * **equivalence** — same values, splits, ledger (including ``retry_s``),
   quarantine set and RNG stream position, compared exactly;
 * **tuner pick** — a fault+drift tuning campaign run through the wave
@@ -31,6 +32,7 @@ from repro.core.tuner import MLAutoTuner, TunerSettings
 from repro.kernels import ConvolutionKernel
 from repro.runtime import Context
 from repro.simulator import NVIDIA_K40
+from tests.serial_reference import SerialReference
 
 from conftest import emit
 
@@ -82,11 +84,11 @@ def test_wave_engine_speedup_and_bit_identity(conv, sweep_indices):
     """Wave engine >= 5x over the serial resilient loop, same results."""
     ctx_serial = Context(NVIDIA_K40, seed=7, faults=FAULTS, drift=DRIFT)
     ctx_wave = Context(NVIDIA_K40, seed=7, faults=FAULTS, drift=DRIFT)
-    m_serial = Measurer(ctx_serial, conv, repeats=3)
+    m_serial = SerialReference(ctx_serial, conv, repeats=3)
     m_wave = Measurer(ctx_wave, conv, repeats=3)
 
     t0 = time.perf_counter()
-    ref = m_serial.measure_batch_serial_resilient(sweep_indices)
+    ref = m_serial.measure_batch(sweep_indices)
     t_serial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -137,10 +139,10 @@ def test_tuner_pick_unchanged_under_wave_engine(conv):
     picks = []
     for engine in ("wave", "serial"):
         ctx = Context(NVIDIA_K40, seed=13, faults=FAULTS, drift=DRIFT)
-        tuner = MLAutoTuner(ctx, conv, settings)
+        measurer = None
         if engine == "serial":
-            m = tuner.measurer
-            m.measure_batch = m.measure_batch_serial_resilient
+            measurer = SerialReference(ctx, conv, repeats=settings.repeats)
+        tuner = MLAutoTuner(ctx, conv, settings, measurer=measurer)
         result = tuner.tune(np.random.default_rng(13), model_seed=13)
         picks.append(
             (result.best_index, result.best_time_s, result.total_cost_s,

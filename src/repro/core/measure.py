@@ -1,38 +1,32 @@
 """Measurement loop: configurations in, (time | invalid) out.
 
-The :class:`Measurer` drives the runtime facade exactly the way a
-pyopencl-based harness drives real OpenCL — build, enqueue, wait, read the
-profiled duration, catch build/launch failures — and memoizes per-
-configuration state so re-measuring a configuration only redraws
+The :class:`Measurer` measures configurations the way a pyopencl-based
+harness drives real OpenCL (build, enqueue, read the profiled duration,
+catch build/launch failures, retry transient ones) and memoizes per-
+configuration state, so re-measuring a configuration only redraws
 measurement noise (a real harness would likewise cache compiled binaries).
+When a :class:`~repro.core.results.MeasurementDB` is attached, measured
+values are written through to it and known indices are served from it
+without touching the simulator, the RNG or the cost ledger (a persisted
+campaign result needs no re-run after a crash).
 
-Two layers sit on top of the single-config path:
-
-* **a durable cache** — when a :class:`~repro.core.results.MeasurementDB`
-  is attached, measured values are written through to it and known indices
-  are served from it without touching the simulator, the RNG or the cost
-  ledger (the real-world analogue: a persisted campaign result needs no
-  re-run after a crash);
-* **one vectorized batch engine** — :meth:`Measurer.measure_batch` is
-  bit-identical to looping :meth:`Measurer.measure` (same measurements,
-  ledger buckets, RNG stream, cache/DB contents, quarantine set, fault
-  and drift counters), just an order of magnitude faster.
-
-The engine is *wave-based*.  Fault outcomes are keyed hash draws that
-never touch the context RNG, backoff is a deterministic ledger charge,
-and drift factors are keyed functions of the ledger clock — so whole
-attempt-waves of probe outcomes are precomputable without side effects.
-Every batch evaluates its not-yet-known configurations through the
-simulator batch API once, resolves each first probe's retry schedule in
-vectorized waves of fault draws, draws all noise in one RNG call, and
-replays the one true sequential dependency — the ledger clock, a prefix
-sum of prior charges into which measured times feed back under drift —
-as an O(n) scalar arithmetic scan.  Without a fault injector the
-schedules are the simulator's own outcomes and there are no waves;
-without drift the scan is plain ledger accumulation in input order.
-:meth:`Measurer.measure_batch_serial_resilient` (the per-config loop) is
-kept as the engine's reference and as its fallback when a retry-budget
-decision disagrees with the exact ledger floats.
+There is one measurement engine, :meth:`Measurer.measure_batch`; a
+single :meth:`Measurer.measure` is a one-position batch.  The engine is
+*wave-based*.  Fault outcomes are keyed hash draws that never touch the
+context RNG, backoff is a deterministic ledger charge, the retry budget
+is a sum of each configuration's own charges, and drift factors are keyed
+functions of the ledger clock, so whole attempt-waves of probe outcomes
+are precomputable without side effects.  Every batch evaluates its
+not-yet-known configurations through the simulator batch API once,
+resolves each first probe's retry schedule in vectorized waves of fault
+draws, draws all noise in one RNG call, and replays the one true
+sequential dependency (the ledger clock, a prefix sum of prior charges
+into which measured times feed back under drift) as an O(n) scalar
+arithmetic scan.  Without a fault injector the schedules are the
+simulator's own outcomes and there are no waves; without drift the scan
+is plain ledger accumulation in input order.  The serial per-config loop
+over the :mod:`repro.runtime` facade, which the engine matches bit for
+bit, lives in ``tests/serial_reference.py``.
 """
 
 from __future__ import annotations
@@ -45,15 +39,7 @@ import numpy as np
 
 from repro.core.results import MeasurementDB
 from repro.kernels.base import KernelSpec
-from repro.runtime import (
-    BuildError,
-    Context,
-    DeviceResetError,
-    LaunchError,
-    Program,
-    TimeoutError,
-    TransientError,
-)
+from repro.runtime import Context
 from repro.simulator.drift import DriftModel
 from repro.simulator.executor import execute_batch
 from repro.simulator.noise import FAILED_BUILD_COST_S, FAILED_LAUNCH_COST_S
@@ -142,8 +128,7 @@ class EngineStats:
     about the configuration space.
 
     ``n_waves`` counts the batch engine's vectorized fault-draw rounds,
-    so it too stays 0 without a fault injector; the serial paths leave
-    it 0.
+    so it too stays 0 without a fault injector.
     """
 
     n_requested: int = 0
@@ -227,18 +212,16 @@ class _ProbeSchedule:
     ``events`` holds one code per attempt, in order — ``"tb"`` transient
     build, ``"binv"``/``"linv"`` deterministic build/launch invalid,
     ``"reset"``/``"hang"``/``"tl"`` injected launch failures, ``"ok"``
-    success; ``broke`` records, per *failed* attempt, the constant-sum
-    budget decision (re-validated against the exact ledger floats during
-    the commit scan); ``outcome`` is ``'ok' | 'invalid' | 'quar'``;
-    ``b_rolls``/``l_rolls`` are the build/launch fault draws consumed
-    (committed to the injector's attempt counters at batch commit).
+    success; every failed attempt but the last is followed by a backoff;
+    ``outcome`` is ``'ok' | 'invalid' | 'quar'``; ``b_rolls``/``l_rolls``
+    are the build/launch fault draws consumed (committed to the
+    injector's attempt counters at batch commit).
     """
 
-    __slots__ = ("events", "broke", "outcome", "b_rolls", "l_rolls")
+    __slots__ = ("events", "outcome", "b_rolls", "l_rolls")
 
     def __init__(self):
         self.events: List[str] = []
-        self.broke: List[bool] = []
         self.outcome: str = ""
         self.b_rolls = 0
         self.l_rolls = 0
@@ -247,7 +230,6 @@ class _ProbeSchedule:
 def _fixed_schedule(event: str, outcome: str) -> _ProbeSchedule:
     sched = _ProbeSchedule()
     sched.events = (event,)  # shared: immutable
-    sched.broke = ()
     sched.outcome = outcome
     return sched
 
@@ -286,10 +268,16 @@ class RetryPolicy:
         Watchdog budget per launch, passed to ``Kernel.enqueue``; a hung
         kernel burns at most this much simulated time per attempt.
     config_budget_s:
-        Total simulated seconds (failures + backoff + probes) one
-        configuration may consume across attempts; exceeding it
-        quarantines the configuration even with attempts left, so a
-        pathological hang-always config cannot eat the campaign budget.
+        Simulated seconds one configuration may spend on failing: its
+        failed-attempt charges (a failed build, or compile plus a failed
+        launch, device reset or watchdog wait) and the backoffs between
+        them, summed in attempt order.  A failed attempt that takes the
+        sum past the budget quarantines the configuration even with
+        attempts left, so a pathological hang-always config cannot eat
+        the campaign budget.  The sum is the configuration's own (it does
+        not depend on what was measured before it), which is what lets
+        the batch engine resolve every retry schedule ahead of the
+        ledger replay.
     """
 
     max_attempts: int = 4
@@ -342,13 +330,13 @@ class Measurer:
     batcher:
         Optional measurement broker (anything with a
         ``submit(measurer, indices) -> MeasurementSet`` method).  When
-        set, :meth:`measure_batch` hands the whole batch to the broker
-        instead of executing it inline — the hook the ``repro.serve``
-        daemon uses to funnel batches from concurrent campaigns through
-        one measurement pipeline.  The broker calls back into
-        :meth:`measure_batch_direct`, and because batches against one
-        measurer are bit-identical to the serial loop in submission
-        order, brokered results equal inline ones by construction.
+        set, :meth:`measure_batch` (and so :meth:`measure`, a one-position
+        batch) hands the batch to the broker instead of executing it
+        inline — the hook the ``repro.serve`` daemon uses to funnel
+        batches from concurrent campaigns through one measurement
+        pipeline.  The broker calls back into :meth:`measure_batch_direct`
+        and runs one measurer's batches in submission order, so brokered
+        results equal inline ones by construction.
     """
 
     def __init__(
@@ -378,39 +366,14 @@ class Measurer:
 
     # -- single configuration ------------------------------------------------
 
-    def true_time(
-        self, index: int, timeout_s: Optional[float] = None
-    ) -> Optional[float]:
-        """Noise-free time of a configuration, or None if invalid.
-
-        First call per configuration pays build cost in the ledger (and
-        failure cost for invalid ones), as a compile-cache-equipped real
-        harness would.  Deterministic failures are cached as None;
-        injected transient failures (:class:`TransientError`,
-        :class:`TimeoutError`) propagate *uncached* — a retry may succeed.
-        ``timeout_s`` is the per-launch watchdog forwarded to the runtime.
-        """
-        index = int(index)
-        if index in self._cache:
-            return self._cache[index]
-        config = self.spec.space[index]
-        try:
-            kernel = Program(self.context, self.spec, config).build()
-            event = kernel.enqueue(timeout_s=timeout_s)
-        except (BuildError, LaunchError):
-            self._cache[index] = None
-            return None
-        self._cache[index] = event.true_duration_s
-        return event.true_duration_s
-
     def measure(self, index: int) -> Optional[float]:
         """Best-of-``repeats`` noisy measurement, or None if invalid.
 
         Every measurement bills exactly ``repeats`` launches: a fresh
-        configuration's first (probe) launch is charged by the runtime at
-        its observed time, so only ``repeats - 1`` re-runs are added here;
-        a cache-served re-measurement launches all ``repeats`` again.
-        A DB hit is served stored — no launches, no charges.
+        configuration's first (probe) launch is charged at its observed
+        time plus ``repeats - 1`` re-runs; a cache-served re-measurement
+        launches all ``repeats`` again.  A DB hit is served stored — no
+        launches, no charges.
 
         With a fault injector on the context, probes are wrapped in the
         :class:`RetryPolicy` (retry transients with backoff, watchdog
@@ -422,112 +385,20 @@ class Measurer:
 
     def measure_outcome(self, index: int) -> tuple:
         """Like :meth:`measure` but returns ``(value, outcome)`` with
-        outcome one of ``'ok' | 'invalid' | 'quarantined'``."""
-        t0 = time.perf_counter()
-        index = int(index)
-        self.stats.n_requested += 1
-        kernel = self.spec.name
-        device = self.context.device.name
-        if self.db is not None and self.db.has(kernel, device, index):
-            value = self.db.get(kernel, device, index)
-            self.stats.n_db_hits += 1
-            if value is None:
-                self.stats.n_invalid += 1
-            self.stats.elapsed_s += time.perf_counter() - t0
-            return value, ("invalid" if value is None else "ok")
-        faults = self.context.faults
-        if faults is not None and index in self.quarantine:
-            # Already written off; do not burn budget on it again.
-            self.stats.elapsed_s += time.perf_counter() - t0
-            return None, "quarantined"
-        fresh = index not in self._cache
-        if faults is None or not fresh:
-            # Fault-free path, or a cached re-measure (no probe launch, so
-            # no fault surface beyond the outlier roll below).
-            true = self.true_time(index)
-        else:
-            true = self._probe_with_retry(index)
-            if isinstance(true, str):  # the _QUARANTINED sentinel
-                self.stats.elapsed_s += time.perf_counter() - t0
-                return None, "quarantined"
-        if fresh:
-            self.stats.n_simulated += 1
-        else:
-            self.stats.n_cache_hits += 1
-        if true is None:
-            self.stats.n_invalid += 1
-            if self.db is not None:
-                self.db.put(kernel, device, index, None)
-            self.stats.elapsed_s += time.perf_counter() - t0
-            return None, "invalid"
-        drift = self.context.drift
-        if drift is not None:
-            # The cache keeps the *base* true time; the machine as it is
-            # right now is base x drift factor at the current clock.  A
-            # re-measure of a stale cache entry therefore sees the drifted
-            # present, never the cached past.
-            true = true * drift.factor(
-                drift.time_of(self.context.ledger),
-                kernel,
-                self.spec.config_tuple(self.spec.space[index]),
-            )
-        self.context.ledger.run_s += true * (
-            self.repeats - 1 if fresh else self.repeats
-        )
-        value = self.context.measurement.best_of(true, self.repeats)
-        if faults is not None:
-            value = faults.on_measurement((kernel, index), value)
-        if self.db is not None:
-            self.db.put(kernel, device, index, value)
-        self.stats.elapsed_s += time.perf_counter() - t0
-        return value, "ok"
-
-    _QUARANTINED = "quarantined"
-
-    def _probe_with_retry(self, index: int):
-        """First probe of a configuration under fault injection.
-
-        Returns the true time (float), None for a deterministic invalid,
-        or the :data:`_QUARANTINED` sentinel when the retry policy gave
-        up.  Transient failures are retried with exponential backoff
-        (charged to ``ledger.retry_s``); a device reset additionally
-        invalidates the compile cache (every cached binary is gone, as on
-        a real rig).  A per-configuration simulated-seconds budget caps
-        the total spend even when attempts remain.
-        """
-        policy = self.retry
-        ledger = self.context.ledger
-        stats = self.stats
-        spent0 = ledger.total_s
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                return self.true_time(index, timeout_s=policy.launch_timeout_s)
-            except TimeoutError:
-                stats.n_timeouts += 1
-            except DeviceResetError:
-                stats.n_transient += 1
-                # Compiled binaries do not survive a reset: forget probed
-                # true times so later re-measures rebuild (and re-bill).
-                self._cache.clear()
-            except TransientError:
-                stats.n_transient += 1
-            if ledger.total_s - spent0 > policy.config_budget_s:
-                break
-            if attempt < policy.max_attempts:
-                ledger.retry_s += policy.backoff_s(attempt)
-                stats.n_retries += 1
-        self.quarantine.add(index)
-        stats.n_quarantined += 1
-        return self._QUARANTINED
+        outcome one of ``'ok' | 'invalid' | 'quarantined'``.  A one-position
+        :meth:`measure_batch`: same engine, broker and trace span."""
+        ms = self.measure_batch([index])
+        if ms.n_valid:
+            return float(ms.times_s[0]), "ok"
+        return None, ("quarantined" if ms.n_quarantined else "invalid")
 
     def is_valid(self, index: int) -> bool:
         """*Static* validity of a configuration — resource-limit rules
         only, no build, no launch, no ledger charges, no RNG draws.
 
         Candidate filtering (``TunerSettings.filter_known_invalid``) and
-        search warm-starts call this in bulk; it used to route through
-        :meth:`true_time`, billing a full build + probe launch per query —
-        a validity check must never bill a launch.
+        search warm-starts call this in bulk; a validity check must never
+        bill a launch.
         """
         index = int(index)
         if index in self._cache:
@@ -545,13 +416,13 @@ class Measurer:
     def measure_batch(self, indices: Sequence[int]) -> MeasurementSet:
         """Measure many configurations in one vectorized pass.
 
-        Bit-identical to looping :meth:`measure` over ``indices`` — same
-        valid/invalid/quarantined split, same measured values, same ledger
-        buckets, same RNG stream consumption, same cache/DB/quarantine
-        updates, same fault and drift counters — with or without a fault
-        injector or drift model.  The simulator, fault draws and noise run
-        over whole arrays; only the ledger clock is replayed as a scalar
-        scan (see :meth:`measure_batch_direct`).
+        Bit-identical to measuring ``indices`` one at a time, in order —
+        same valid/invalid/quarantined split, same measured values, same
+        ledger buckets, same RNG stream consumption, same cache/DB/
+        quarantine updates, same fault and drift counters — with or
+        without a fault injector or drift model.  The simulator, fault
+        draws and noise run over whole arrays; only the ledger clock is
+        replayed as a scalar scan (see :meth:`_measure_batch_waves`).
 
         With a ``batcher`` attached the batch is submitted to it instead
         (see the constructor); the broker executes it through
@@ -569,17 +440,6 @@ class Measurer:
         wave-based engine under one ``measure.batch`` span."""
         with self.context.tracer.span("measure.batch") as span:
             return self._measure_batch_waves(indices, span)
-
-    def measure_batch_serial_resilient(
-        self, indices: Sequence[int]
-    ) -> MeasurementSet:
-        """The serial per-config loop (one :meth:`measure_outcome` per
-        position, in order) — the reference the batch engine must match
-        bit for bit, and its fallback on a retry-budget rounding conflict.
-        Kept public as the equivalence baseline and for perf comparison;
-        production paths use :meth:`measure_batch_direct`."""
-        with self.context.tracer.span("measure.batch.resilient") as span:
-            return self._measure_batch_resilient(indices, span)
 
     def _trace_batch(self, span, before: EngineStats, n_quarantined: int) -> None:
         """Fold one batch's engine counters (``self.stats`` minus
@@ -619,32 +479,6 @@ class Measurer:
             attrs.update(faults, quarantined=n_quarantined, waves=waves)
         span.set(**attrs)
 
-    def _measure_batch_resilient(
-        self, indices: Sequence[int], span
-    ) -> MeasurementSet:
-        before = replace(self.stats)
-        idx = [int(i) for i in indices]
-        ok_idx: List[int] = []
-        ok_times: List[float] = []
-        bad_idx: List[int] = []
-        quarantined_idx: List[int] = []
-        for i in idx:
-            value, outcome = self.measure_outcome(i)
-            if outcome == "ok":
-                ok_idx.append(i)
-                ok_times.append(float(value))
-            elif outcome == "quarantined":
-                quarantined_idx.append(i)
-            else:
-                bad_idx.append(i)
-        self._trace_batch(span, before, len(quarantined_idx))
-        return MeasurementSet(
-            indices=np.asarray(ok_idx, dtype=np.int64),
-            times_s=np.asarray(ok_times, dtype=np.float64),
-            invalid_indices=np.asarray(bad_idx, dtype=np.int64),
-            quarantined_indices=np.asarray(quarantined_idx, dtype=np.int64),
-        )
-
     # -- the batch engine (wave-based) -----------------------------------------
 
     def _resolve_probe_jobs(
@@ -659,11 +493,10 @@ class Measurer:
         vectorized attempt waves.
 
         Pure: fault uniforms come from :meth:`FaultInjector.peek_uniforms`
-        (no counters move), and the per-config budget is tracked as a
-        constant sum of the attempt charges — the commit scan re-validates
-        every budget decision against the exact ledger floats and falls
-        back to the serial loop on the (vanishingly rare) rounding
-        disagreement.  Returns ``(schedules, waves_executed)``.
+        (no counters move), and each job's budget decision is the
+        :attr:`RetryPolicy.config_budget_s` rule itself — its attempt
+        charges and backoffs summed in attempt order — so the decisions
+        are final.  Returns ``(schedules, waves_executed)``.
         """
         faults = self.context.faults
         prof = faults.profile
@@ -712,8 +545,7 @@ class Measurer:
                 code[launchable[ul < p_reset]] = "reset"
                 code[launchable[(ul >= p_reset) & (ul < p_reset + p_hang)]] = "hang"
                 code[launchable[(ul >= p_reset + p_hang) & (ul < p_total)]] = "tl"
-            # Constant-sum spend update (heuristic clock for the budget
-            # check only; exact validation happens in the commit scan).
+            # The configuration's own spend, in attempt order.
             charge = np.where(code == "tb", FAILED_BUILD_COST_S, compile_cs[act])
             charge = charge + np.select(
                 [code == "linv", code == "tl", code == "reset", code == "hang"],
@@ -732,14 +564,11 @@ class Measurer:
                 elif ev == "linv":
                     s.outcome = "invalid"
                     pending[j] = False
-                else:
-                    bb = bool(spend[j] > budget)
-                    s.broke.append(bb)
-                    if bb:
-                        s.outcome = "quar"
-                        pending[j] = False
-                    elif attempt < policy.max_attempts:
-                        spend[j] += policy.backoff_s(attempt)
+                elif spend[j] > budget:
+                    s.outcome = "quar"
+                    pending[j] = False
+                elif attempt < policy.max_attempts:
+                    spend[j] += policy.backoff_s(attempt)
         for j in np.flatnonzero(pending):
             scheds[j].outcome = "quar"
         for j, s in enumerate(scheds):
@@ -755,8 +584,8 @@ class Measurer:
 
         1. *classify & resolve* — evaluate every configuration the batch
            has to probe through the simulator batch API once (configs
-           cached at entry too, when the fault profile can reset the
-           device and so revive them); under faults, resolve the retry
+           cached at entry too, when a first probe in the batch can reset
+           the device and so revive them); under faults, resolve the retry
            schedule of every first-probe job in vectorized attempt waves
            of keyed fault draws (reset-revived configurations trigger
            rare on-demand re-resolutions with continued attempt
@@ -769,15 +598,12 @@ class Measurer:
         3. *commit scan* — an O(n) scalar arithmetic replay of the ledger
            charges in serial order (under drift the clock is a prefix sum
            of charges into which measured times feed back), applying
-           drift factors from per-regime batched quirk draws and
-           re-validating every budget decision against the exact ledger
-           floats;
+           drift factors from per-regime batched quirk draws;
         4. *commit* — ledger buckets, stats, caches, quarantine, injector
            counters, drift counters, DB write-through, trace counters.
 
-        All phases before 4 are pure; a budget-rounding disagreement in
-        phase 3 restores the RNG state and re-runs the batch through the
-        serial loop inside the same ``measure.batch`` span.
+        Phases 1-3 only read shared state (phase 2 draws the RNG); phase 4
+        writes everything else once.
         """
         t0 = time.perf_counter()
         before = replace(self.stats)
@@ -805,10 +631,21 @@ class Measurer:
         # The batch's view of the compile cache: only its own indices are
         # ever looked up, so copying those (not the whole cache) suffices.
         local_cache = {i: cache[i] for i in live if i in cache}
-        # A configuration cached at entry needs a base time only if a
-        # device reset can wipe the cache mid-batch and revive it.
-        revive = faults is not None and faults.profile.p_device_reset > 0.0
-        sim_ids = live if revive else [i for i in live if i not in local_cache]
+        # Quarantine only exists under faults.
+        quarantine = self.quarantine if faults is not None else ()
+        # First probes: the configurations this batch builds and launches.
+        new_ids = [
+            i for i in live if i not in local_cache and i not in quarantine
+        ]
+        # Only a first probe can reset the device, wiping the compile cache
+        # mid-batch; configurations cached at entry need a base time only
+        # then, since a reset revives them.
+        revive = (
+            faults is not None
+            and faults.profile.p_device_reset > 0.0
+            and bool(new_ids)
+        )
+        sim_ids = live if revive else new_ids
         stage_of: Dict[int, int] = {}
         base_of: Dict[int, Optional[float]] = {}
         compile_of: Dict[int, float] = {}
@@ -852,34 +689,26 @@ class Measurer:
                 okey_hashes = faults.index_key_hashes(kernel_name, live_arr)
 
         # -- phase 1a: resolve first-probe retry schedules in waves ---------
-        # Quarantine only exists under faults (as in measure_outcome).
-        quarantine = self.quarantine if faults is not None else ()
         scheds_by_index: Dict[int, _ProbeSchedule] = {}
         waves = 0
-        if faults is not None:
-            new_ids = [
-                i for i in live
-                if i not in local_cache and i not in quarantine
-            ]
-            if new_ids:
-                jsel = np.asarray([pos_of[i] for i in new_ids], dtype=np.int64)
-                b0 = np.asarray(
-                    [faults.attempts_of("build", (kernel_name, tuples_of[i]))
-                     for i in new_ids], dtype=np.int64,
-                )
-                l0 = np.asarray(
-                    [faults.attempts_of("launch", (kernel_name, tuples_of[i]))
-                     for i in new_ids], dtype=np.int64,
-                )
-                scheds, w = self._resolve_probe_jobs(
-                    np.asarray([stage_of[i] for i in new_ids], dtype=np.int64),
-                    np.asarray([compile_of[i] for i in new_ids]),
-                    cfg_hashes[jsel],
-                    b0,
-                    l0,
-                )
-                waves += w
-                scheds_by_index = dict(zip(new_ids, scheds))
+        if faults is not None and new_ids:
+            jsel = np.asarray([pos_of[i] for i in new_ids], dtype=np.int64)
+            b0 = np.asarray(
+                [faults.attempts_of("build", (kernel_name, tuples_of[i]))
+                 for i in new_ids], dtype=np.int64,
+            )
+            l0 = np.asarray(
+                [faults.attempts_of("launch", (kernel_name, tuples_of[i]))
+                 for i in new_ids], dtype=np.int64,
+            )
+            scheds, waves = self._resolve_probe_jobs(
+                np.asarray([stage_of[i] for i in new_ids], dtype=np.int64),
+                np.asarray([compile_of[i] for i in new_ids]),
+                cfg_hashes[jsel],
+                b0,
+                l0,
+            )
+            scheds_by_index = dict(zip(new_ids, scheds))
 
         # -- phase 1b: classification scan (no RNG, no ledger floats) -------
         # Entry tuples: (type, schedule-or-None, base-or-None) per position.
@@ -969,12 +798,9 @@ class Measurer:
         # so this equals the minimum of the rounded products exactly.
         count_arr = np.asarray(counts, dtype=np.int64)
         total_draws = int(count_arr.sum())
-        rng_state = None
         probe_f: List[float] = []
         best_f: List[float] = []
         if total_draws:
-            if faults is not None:  # only fault schedules can conflict
-                rng_state = model.rng.bit_generator.state
             factors = np.exp(sigma * model.rng.standard_normal(total_draws))
             ends = np.cumsum(count_arr)
             drawn = count_arr > 0
@@ -1054,7 +880,6 @@ class Measurer:
         n_sim = n_cache = n_db = n_inv = 0
         inj_tb = inj_tl = inj_hang = inj_reset = inj_out = 0
         st_retries = st_quar = 0
-        conflict = False
         for p, i in enumerate(idx):
             typ, sched, base = entries[p]
             if typ == E_DB:
@@ -1091,9 +916,9 @@ class Measurer:
                 ok_idx.append(i)
                 ok_times.append(value)
                 continue
-            # E_FRESH: replay the resolved schedule charge for charge.
-            spent0 = c + r + f_ + ry
-            bi = 0
+            # E_FRESH: replay the resolved schedule charge for charge; a
+            # backoff follows every failed attempt but the schedule's last.
+            n_attempts = len(sched.events)
             for a_no, ev in enumerate(sched.events, start=1):
                 if ev == "ok":  # compile, then the probe launch
                     c += compile_of[i]
@@ -1123,17 +948,9 @@ class Measurer:
                     c += compile_of[i]
                     f_ += FAILED_LAUNCH_COST_S
                     inj_tl += 1
-                if ev in ("tb", "reset", "hang", "tl"):
-                    exceeded = (c + r + f_ + ry) - spent0 > policy.config_budget_s
-                    if exceeded != sched.broke[bi]:
-                        conflict = True
-                        break
-                    bi += 1
-                    if not exceeded and a_no < policy.max_attempts:
-                        ry += policy.backoff_s(a_no)
-                        st_retries += 1
-            if conflict:
-                break
+                if a_no < n_attempts:
+                    ry += policy.backoff_s(a_no)
+                    st_retries += 1
             if sched.outcome == "ok":
                 n_sim += 1
                 if drift is not None:
@@ -1156,14 +973,6 @@ class Measurer:
             else:
                 st_quar += 1
                 quarantined_idx.append(i)
-
-        if conflict:
-            # Constant-sum budget heuristic disagreed with the exact
-            # ledger floats: nothing was committed and the RNG rewinds,
-            # so the serial loop reproduces the batch from scratch.
-            if rng_state is not None:
-                model.rng.bit_generator.state = rng_state
-            return self._measure_batch_resilient(idx, span)
 
         # -- phase 4: commit -------------------------------------------------
         ledger.compile_s = float(c)

@@ -8,7 +8,8 @@ to answer "where did the simulated seconds (and the wall-clock) go?" per
   and ad-hoc events, and streams them as JSON Lines to a file (or keeps
   them in memory when no path is bound).  A trace opens with a manifest
   record identifying the run (kernel, device, settings, seeds, git rev)
-  and the numeric stack it ran on (NumPy, BLAS, core count).
+  and the numeric stack it ran on (NumPy, BLAS, SIMD dispatch, core
+  count).
 * :class:`NullTracer` / :data:`NULL_TRACER` — the disabled tracer every
   component uses by default.  All of its methods are no-ops, so
   instrumentation costs a handful of attribute lookups per *batch* (never
@@ -80,7 +81,11 @@ def run_manifest(**fields) -> Dict[str, Any]:
 
     The numeric stack (NumPy, BLAS, core count) is recorded because
     float32 GEMM rounding depends on it: a tolerance that fails on one
-    host should name the build it failed on.
+    host should name the build it failed on.  ``simd`` names the CPU
+    target NumPy dispatches the float64 ``exp``/``log``/``cos`` loops to
+    (the simulator's noise and keyed draws), whose results the
+    measurement fixtures compare bit for bit; it is None before NumPy
+    2.0, which cannot report it.
     """
     import numpy as np
 
@@ -89,11 +94,22 @@ def run_manifest(**fields) -> Dict[str, Any]:
         blas = f"{blas['name']} {blas['version']}"
     except (KeyError, TypeError, ValueError):
         blas = None
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # NumPy < 2.0
+        simd = None
+    else:
+        loops = opt_func_info(func_name="^(exp|log|cos)$", signature="float64")
+        simd = {  # None: no dispatched float64 loop on this build
+            name: loops.get(name, {}).get("dd", {}).get("current")
+            for name in ("exp", "log", "cos")
+        }
     manifest: Dict[str, Any] = dict(fields)
     manifest.setdefault("git_rev", git_revision())
     manifest.setdefault("python", sys.version.split()[0])
     manifest.setdefault("numpy", np.__version__)
     manifest.setdefault("blas", blas)
+    manifest.setdefault("simd", simd)
     manifest.setdefault("nproc", os.cpu_count())
     manifest.setdefault("created_unix_s", time.time())
     return manifest

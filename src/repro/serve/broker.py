@@ -3,16 +3,18 @@
 Campaign threads never touch the batch engine directly.  Each campaign's
 :class:`~repro.core.measure.Measurer` is constructed with
 ``batcher=broker``, so every ``measure_batch`` call lands here as a
-*submission*; a single broker thread drains submissions in windows and
-executes them through ``Measurer.measure_batch_direct`` — the exact
-engine path a standalone run uses.
+*submission* — a single ``measure()`` too, being a one-position batch,
+so a watch's monitoring probes are pumped like any tune's batches.  A
+single broker thread drains submissions in windows and executes them
+through ``Measurer.measure_batch_direct``, the exact engine path a
+standalone run uses.
 
-Why this is sound: ``measure_batch`` is contractually bit-identical to a
-serial measure loop, and each measurer's submissions are executed in FIFO
-order on one thread, so a campaign run through the broker produces the
-same measurements, ledger charges and RNG stream as one run alone —
-the server's bit-identity guarantee reduces to the engine's own
-invariant.
+Why this is sound: a measurer's state changes only through its batches,
+and each measurer's submissions are executed in FIFO order on one
+thread, so a campaign run through the broker produces the same
+measurements, ledger charges and RNG stream as one run alone — the
+server's bit-identity guarantee reduces to the engine's own
+determinism.
 
 What the window buys: concurrent campaigns share one measurement pump
 instead of contending for the engine, the drain loop amortizes wake-ups

@@ -101,7 +101,10 @@ def run_watch(
     """Execute one online (watch) campaign; returns payload + accounting.
 
     ``params`` is a canonicalized ``watch`` request
-    (:func:`repro.serve.protocol.validate_watch`).  Unlike
+    (:func:`repro.serve.protocol.validate_watch`).  ``batcher``,
+    ``sink`` and ``register`` work as in :func:`run_campaign`; the
+    monitoring probes are measurements like any other, so they too go
+    through the broker and into the trace.  Unlike
     :func:`run_campaign` there is no model to cache and no result-cache
     identity: a watch lives on its own drift clock, so two "identical"
     watches are different campaigns by definition.

@@ -14,8 +14,9 @@ Architecture (one asyncio loop + two kinds of worker thread):
 * campaign threads — a small ``ThreadPoolExecutor`` runs
   :func:`~repro.serve.campaigns.run_campaign`; results come back to the
   loop via ``call_soon_threadsafe``.
-* the measurement broker thread — every campaign's batches flow through
-  one :class:`~repro.serve.broker.MeasurementBroker` pump.
+* the measurement broker thread — every campaign's measurements, a
+  watch's monitoring probes included, flow through one
+  :class:`~repro.serve.broker.MeasurementBroker` pump.
 
 Request lifecycle: result-cache hit -> answer immediately; key already
 in flight -> coalesce (subscribe to the one campaign); otherwise admit

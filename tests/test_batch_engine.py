@@ -1,12 +1,13 @@
 """The batch measurement engine's core contract: vectorized == scalar.
 
 ``Measurer.measure_batch`` (and the batch simulator path under it) must be
-*bit-identical* to looping ``Measurer.measure`` — same valid/invalid split,
-same measured values, same cost-ledger totals, same RNG stream consumption,
-same cache and DB contents.  Everything downstream (search baselines, the
-tuner, campaigns, the oracle) relies on this equivalence, so it is pinned
-here across all three kernels, CPU and GPU devices, duplicates, cache hits
-and DB hits.
+*bit-identical* to the scalar per-config loop over the runtime facade kept
+as the reference in ``tests/serial_reference.py`` — same valid/invalid
+split, same measured values, same cost-ledger totals, same RNG stream
+consumption, same cache and DB contents.  Everything downstream (search
+baselines, the tuner, campaigns, the oracle) relies on this equivalence,
+so it is pinned here across all three kernels, CPU and GPU devices,
+duplicates, cache hits and DB hits.
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ from repro.simulator import (
 )
 from repro.simulator.executor import KernelExecutor
 from repro.simulator.workload import WorkloadBatch
+from tests.serial_reference import SerialReference
 
 CASES = [
     ("convolution", ConvolutionKernel, NVIDIA_K40, 3),
@@ -45,7 +47,9 @@ def make_spec(cls):
 
 
 def scalar_reference(measurer, indices):
-    """Loop the scalar path, collecting the same shape measure_batch returns."""
+    """Loop ``measurer.measure`` (a :class:`SerialReference`, so the scalar
+    path over the runtime facade), collecting the same shape measure_batch
+    returns."""
     ok_i, ok_t, bad = [], [], []
     for i in indices:
         t = measurer.measure(int(i))
@@ -80,7 +84,7 @@ class TestBatchEqualsScalar:
         spec = make_spec(cls)
         indices = mixed_indices(spec, np.random.default_rng(hash(name) % 2**31))
         ctx_a, ctx_b = Context(device, seed=7), Context(device, seed=7)
-        ma = Measurer(ctx_a, spec, repeats=repeats)
+        ma = SerialReference(ctx_a, spec, repeats=repeats)
         mb = Measurer(ctx_b, spec, repeats=repeats)
 
         oks, times, bads = scalar_reference(ma, indices)
@@ -99,7 +103,7 @@ class TestBatchEqualsScalar:
         rng = np.random.default_rng(3)
         indices = spec.space.sample_indices(120, rng)
         ctx_a, ctx_b = Context(device, seed=11), Context(device, seed=11)
-        ma = Measurer(ctx_a, spec, repeats=repeats)
+        ma = SerialReference(ctx_a, spec, repeats=repeats)
         mb = Measurer(ctx_b, spec, repeats=repeats)
         for i in indices[:60]:  # pre-populate the caches identically
             ma.measure(i)
@@ -124,7 +128,7 @@ class TestBatchEqualsScalar:
             db.put_many(spec.name, device.name, seeded)
 
         ctx_a, ctx_b = Context(device, seed=23), Context(device, seed=23)
-        ma = Measurer(ctx_a, spec, repeats=repeats, db=dbs[0])
+        ma = SerialReference(ctx_a, spec, repeats=repeats, db=dbs[0])
         mb = Measurer(ctx_b, spec, repeats=repeats, db=dbs[1])
 
         oks, times, bads = scalar_reference(ma, indices)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.measure import MeasurementSet, Measurer
+from repro.experiments.oracle import TrueTimeOracle
 from repro.kernels import ConvolutionKernel
 from repro.runtime import Context
 from repro.simulator import AMD_HD7970, NVIDIA_K40
@@ -130,7 +131,7 @@ class TestLedgerAccounting:
         m = quiet_measurer
         i = config_index(spec)
         value = m.measure(i)
-        true = m.true_time(i)
+        true = TrueTimeOracle(spec, m.context.device.spec).time_of(i)
         assert value == true  # zero noise: best-of == true
         assert m.context.ledger.run_s == pytest.approx(4 * true, rel=1e-12)
 
@@ -138,7 +139,7 @@ class TestLedgerAccounting:
         m = quiet_measurer
         i = config_index(spec)
         m.measure(i)
-        true = m.true_time(i)
+        true = TrueTimeOracle(spec, m.context.device.spec).time_of(i)
         m.measure(i)
         assert m.context.ledger.run_s == pytest.approx(8 * true, rel=1e-12)
         m.measure(i)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.measure import Measurer
 from repro.core.results import MeasurementDB
 from repro.core.search import coordinate_descent, exhaustive_search, random_search
+from repro.experiments.oracle import TrueTimeOracle
 from repro.kernels.convolution import ConvolutionKernel, ConvolutionProblem
 from repro.runtime import Context
 from repro.simulator import NVIDIA_K40
@@ -114,14 +115,15 @@ class TestCoordinateDescent:
         # Verify local optimality along one axis: no single change of the
         # first parameter improves the *true* time by more than noise.
         space = measurer.spec.space
+        oracle = TrueTimeOracle(measurer.spec, NVIDIA_K40)
         digits = list(space.digits_of(idx))
-        base = measurer.true_time(idx)
+        base = oracle.time_of(idx)
         p = space.parameters[0]
         for d in range(p.cardinality):
             trial = digits.copy()
             trial[0] = d
-            other = measurer.true_time(space.index_of_digits(trial))
-            if other is not None:
+            other = oracle.time_of(space.index_of_digits(trial))
+            if not np.isnan(other):
                 assert other > base * 0.85
 
     def test_respects_given_start(self, measurer):
@@ -135,7 +137,8 @@ class TestCoordinateDescent:
         idx, t, _, _ = coordinate_descent(
             measurer, rng, max_sweeps=1, start_index=start
         )
-        assert measurer.true_time(idx) <= measurer.true_time(start) * 1.05
+        oracle = TrueTimeOracle(measurer.spec, NVIDIA_K40)
+        assert oracle.time_of(idx) <= oracle.time_of(start) * 1.05
 
     def test_invalid_given_start_returns_failure_not_crash(self, measurer):
         """Regression: an invalid caller-supplied start_index used to trip

@@ -37,6 +37,7 @@ from repro.simulator.drift import (
     make_drift,
 )
 from repro.simulator.noise import MeasurementModel
+from tests.serial_reference import SerialReference
 
 FIXTURES = json.loads(
     (Path(__file__).parent / "data" / "zero_fault_fixtures.json").read_text()
@@ -206,14 +207,15 @@ def test_zero_drift_bit_identical_to_fixtures(kernel):
 
 
 def test_serial_equals_batch_under_drift():
-    """Attaching drift degrades batches to the serial resilient loop, so
-    batch results equal a fresh serial context measuring the same list."""
+    """Under drift the batch engine replays the drift clock position by
+    position, so one batch equals the serial reference loop measuring the
+    same list on a fresh context."""
     spec = get_benchmark("convolution")
     profile = "noisy-neighbor:onset_s=0.1,seed=9"
     indices = spec.space.sample_indices(25, np.random.default_rng(3))
 
     ctx_a = Context(NVIDIA_K40, seed=55, drift=profile)
-    serial = [Measurer(ctx_a, spec).measure(int(i)) for i in indices]
+    serial = [SerialReference(ctx_a, spec).measure(int(i)) for i in indices]
 
     ctx_b = Context(NVIDIA_K40, seed=55, drift=profile)
     ms = Measurer(ctx_b, spec).measure_batch(indices)

@@ -30,6 +30,7 @@ from repro.simulator import (
     get_fault_profile,
 )
 from repro.simulator.faults import HANG, OK, RESET, TRANSIENT, make_injector
+from tests.serial_reference import SerialReference
 
 pytestmark = pytest.mark.fault
 
@@ -251,11 +252,13 @@ def test_retry_path_is_deterministic():
 
 
 def test_serial_equals_batch_under_faults():
+    """One batch under flaky-gpu equals the serial reference loop's
+    per-config outcomes, quarantine set, ledger and fault counters."""
     spec = get_benchmark("raycasting")
     indices = [int(i) for i in spec.space.sample_indices(30, np.random.default_rng(8))]
 
     ctx_s = Context(NVIDIA_K40, seed=2, faults=FLAKY)
-    serial = Measurer(ctx_s, spec)
+    serial = SerialReference(ctx_s, spec)
     got = {}
     for i in indices:
         got[i] = serial.measure_outcome(i)

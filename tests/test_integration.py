@@ -8,6 +8,7 @@ from repro import Context, MLAutoTuner, Measurer, TunerSettings
 from repro.experiments.oracle import TrueTimeOracle
 from repro.kernels import get_benchmark
 from repro.simulator import AMD_HD7970, INTEL_I7_3770, NVIDIA_K40
+from tests.serial_reference import SerialReference
 
 DEVICES = {"intel": INTEL_I7_3770, "nvidia": NVIDIA_K40, "amd": AMD_HD7970}
 
@@ -122,11 +123,11 @@ class TestOracleAgreesWithRuntime:
         noise-free time of every configuration."""
         spec = get_benchmark("convolution")
         oracle = TrueTimeOracle(spec, NVIDIA_K40)
-        measurer = Measurer(Context(NVIDIA_K40, seed=0), spec)
+        facade = SerialReference(Context(NVIDIA_K40, seed=0), spec)
         rng = np.random.default_rng(4)
         for i in spec.space.sample_indices(60, rng):
             i = int(i)
-            runtime_t = measurer.true_time(i)
+            runtime_t = facade.true_time(i)
             oracle_t = oracle.time_of(i)
             if runtime_t is None:
                 assert np.isnan(oracle_t)

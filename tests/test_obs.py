@@ -160,6 +160,11 @@ class TestManifestAndSchema:
         assert first["numpy"] == np.__version__
         assert "blas" in first
         assert first["nproc"] == os.cpu_count()
+        # The SIMD target of the float64 loops the simulator's draws use.
+        if int(np.__version__.split(".")[0]) >= 2:
+            assert sorted(first["simd"]) == ["cos", "exp", "log"]
+        else:
+            assert first["simd"] is None
 
     def test_git_revision_resolves_in_this_repo(self):
         rev = git_revision()
