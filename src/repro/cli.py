@@ -10,7 +10,6 @@
     python -m repro trace-summary trace.jsonl
     python -m repro predict -k convolution -d nvidia -n 500 \
         --config "wg_x=32,wg_y=4,ppt_x=2,ppt_y=2,use_image=1,use_local=0,pad=1,interleaved=1,unroll=1"
-    python -m repro fit-bench -k convolution -d gtx980    # training engine timings
     python -m repro experiments --only fig01      # reproduction harness
     python -m repro bench-report                  # perf-gate trajectory table
 """
@@ -28,7 +27,7 @@ from repro.core.measure import Measurer
 from repro.kernels import BENCHMARKS, get_benchmark
 from repro.simulator.devices import DEVICES, get_device
 from repro.simulator.drift import DRIFT_PROFILES
-from repro.simulator.faults import FAULT_PROFILES, get_fault_profile
+from repro.simulator.faults import FAULT_PROFILES
 
 
 def _parse_pins(text, space) -> dict:
@@ -94,61 +93,95 @@ def cmd_benchmarks(_args) -> int:
     return 0
 
 
-def _tune_request(args):
-    """The TuneRequest a parsed ``repro tune`` command line asks for."""
+def _request(args, fields):
+    """The TuneRequest ``repro <command>`` asks for: kernel, device, seed,
+    faults and drift from the shared flags, the rest from ``fields()``.
+    Bad input exits with ``repro <command>: <reason>``."""
     from repro.core.request import TuneRequest
     from repro.simulator.devices import device_key
 
+    try:
+        return TuneRequest(kernel=args.kernel, device=device_key(args.device),
+                           seed=args.seed, faults=args.faults,
+                           drift=args.drift, **fields())
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(f"repro {args.command}: {exc.args[0]}") from None
+
+
+def _tune_request(args):
+    """The TuneRequest a parsed ``repro tune`` command line asks for."""
     if args.strategy != "ml" and args.iterative:
         raise SystemExit("--strategy and --iterative are mutually exclusive")
     if args.pin and args.strategy == "ml":
         raise SystemExit("--pin holds parameters fixed during a search; "
                          "it needs --strategy")
-    try:
-        settings = (
+    return _request(args, lambda: dict(
+        strategy=args.strategy,
+        settings=(
             IterativeSettings(total_budget=args.budget, rounds=args.rounds,
                               fit_mode=args.fit_mode)
             if args.iterative
             else TunerSettings(n_train=args.n_train,
                                m_candidates=args.m_candidates,
                                fit_mode=args.fit_mode)
-        )
-        return TuneRequest(
-            kernel=args.kernel,
-            device=device_key(args.device),
-            seed=args.seed,
-            strategy=args.strategy,
-            settings=settings,
-            pins=_parse_pins(args.pin, get_benchmark(args.kernel).space),
-            faults=args.faults,
-            drift=args.drift,
-        )
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"repro tune: {exc.args[0]}") from None
+        ),
+        pins=_parse_pins(args.pin, get_benchmark(args.kernel).space),
+    ))
 
 
-def cmd_tune(args) -> int:
+def _search_request(args):
+    """The TuneRequest a parsed ``repro search`` command line asks for."""
+    from repro.core.strategies import SearchSettings
+
+    return _request(args, lambda: dict(
+        strategy=args.strategy,
+        settings=SearchSettings(budget=args.budget, batch=args.batch,
+                                max_cost_s=args.max_cost_s),
+        pins=_parse_pins(args.pin, get_benchmark(args.kernel).space),
+    ))
+
+
+def _watch_request(args):
+    """The TuneRequest a parsed ``repro watch`` command line asks for."""
+    from repro.core.online import OnlineSettings
+
+    return _request(args, lambda: dict(
+        settings=TunerSettings(n_train=args.n_train,
+                               m_candidates=args.m_candidates),
+        online=OnlineSettings(steps=args.steps, step_interval_s=args.interval,
+                              retune_window=args.retune_window,
+                              warm_start_refits=not args.cold_refits),
+    ))
+
+
+def _run(args, request):
+    """Run ``request`` for ``repro <command>``, honouring ``--trace`` (the
+    manifest is the request's) and ``--db`` where the command has it."""
     from pathlib import Path
 
     from repro.core.request import run_tune
     from repro.core.results import MeasurementDB
-    from repro.experiments.reporting import engine_stats_block
     from repro.obs import NULL_TRACER, Tracer
 
-    request = _tune_request(args)
-    tracer = (Tracer(Path(args.trace), manifest=request.manifest(command="tune"))
+    tracer = (Tracer(Path(args.trace),
+                     manifest=request.manifest(command=args.command))
               if args.trace else NULL_TRACER)
-    db = MeasurementDB(Path(args.db)) if args.db else None
+    db = MeasurementDB(Path(args.db)) if getattr(args, "db", None) else None
     try:
         outcome = run_tune(request, tracer=tracer, db=db)
     finally:
         tracer.close()
-
     if db is not None:
         db.save()
     if args.trace:
         print(f"trace written to {args.trace}")
+    return outcome
 
+
+def cmd_tune(args) -> int:
+    from repro.experiments.reporting import engine_stats_block
+
+    outcome = _run(args, _tune_request(args))
     result = outcome.result
     if result.failed:
         print("tuning FAILED: not a single valid measurement "
@@ -193,135 +226,46 @@ def _leaderboard_block(outcome) -> str:
 
 def cmd_search(args) -> int:
     """Run one zoo strategy (or the bandit meta-tuner) stand-alone."""
-    from dataclasses import asdict
-    from pathlib import Path
-
-    from repro.core.results import MeasurementDB
-    from repro.core.strategies import SearchSettings, SearchTuner
     from repro.experiments.reporting import engine_stats_block
-    from repro.obs import NULL_TRACER, Tracer, run_manifest
 
-    spec = get_benchmark(args.kernel)
-    device = get_device(args.device)
-    rng = np.random.default_rng(args.seed)
-    settings = SearchSettings(
-        budget=args.budget,
-        batch=args.batch,
-        max_cost_s=args.max_cost_s,
-        pins=_parse_pins(args.pin, spec.space),
-    )
-    if args.trace:
-        tracer = Tracer(
-            Path(args.trace),
-            manifest=run_manifest(
-                command="search",
-                kernel=args.kernel,
-                device=device.name,
-                strategy=args.strategy,
-                settings=asdict(settings),
-                seed=args.seed,
-                faults=args.faults,
-                drift=args.drift,
-            ),
-        )
-    else:
-        tracer = NULL_TRACER
-    faults = get_fault_profile(args.faults) if args.faults else None
-    ctx = Context(device, seed=args.seed, tracer=tracer, faults=faults,
-                  drift=args.drift)
-    db = MeasurementDB(Path(args.db)) if args.db else None
-    measurer = Measurer(ctx, spec, db=db) if db is not None else None
-    tuner = SearchTuner(ctx, spec, args.strategy, settings, measurer=measurer)
-    try:
-        result = tuner.tune(rng)
-    finally:
-        tracer.close()
-    if db is not None:
-        db.save()
-    if args.trace:
-        print(f"trace written to {args.trace}")
-
-    outcome = tuner.outcome
+    request = _search_request(args)
+    outcome = _run(args, request)
+    result, search = outcome.result, outcome.search
     if result.failed:
         print(f"search FAILED: strategy {args.strategy!r} found no valid "
-              f"configuration in {outcome.n_proposed} proposals "
-              f"(stop: {outcome.stop_reason})")
+              f"configuration in {search.n_proposed} proposals "
+              f"(stop: {search.stop_reason})")
         return 1
-    best = spec.space[result.best_index]
+    best = outcome.measurer.spec.space[result.best_index]
     print(f"kernel            : {result.kernel}")
     print(f"device            : {result.device}")
     print(f"strategy          : {args.strategy}")
-    if settings.pins:
-        pinned = ", ".join(f"{k}={v}" for k, v in settings.pins)
+    if request.pins:
+        pinned = ", ".join(f"{k}={v}" for k, v in request.pins)
         print(f"pinned            : {pinned}")
     print(f"best configuration: {dict(best)}")
     print(f"measured time     : {result.best_time_s * 1e3:.3f} ms")
-    print(f"proposed/measured : {outcome.n_proposed}/{outcome.n_measured} "
-          f"(+{outcome.n_free} free db hits)")
-    print(f"rounds            : {outcome.rounds} (stop: {outcome.stop_reason})")
+    print(f"proposed/measured : {search.n_proposed}/{search.n_measured} "
+          f"(+{search.n_free} free db hits)")
+    print(f"rounds            : {search.rounds} (stop: {search.stop_reason})")
     print(f"simulated cost    : {result.total_cost_s / 60:.1f} min")
     if result.degraded:
         print(f"degraded          : yes ({result.degraded_reason})")
-    if hasattr(outcome, "leaderboard"):
-        print(_leaderboard_block(outcome))
+    if hasattr(search, "leaderboard"):
+        print(_leaderboard_block(search))
     print("engine stats")
-    print(engine_stats_block(tuner.measurer.stats, ctx.ledger))
+    print(engine_stats_block(outcome.measurer.stats, outcome.ledger))
     return 0
 
 
 def cmd_watch(args) -> int:
-    from pathlib import Path
-
-    from repro.core.online import OnlineSettings, OnlineTuner
-    from repro.obs import NULL_TRACER, Tracer, run_manifest
-
-    spec = get_benchmark(args.kernel)
-    device = get_device(args.device)
-    if args.trace:
-        tracer = Tracer(
-            Path(args.trace),
-            manifest=run_manifest(
-                command="watch",
-                kernel=args.kernel,
-                device=device.name,
-                seed=args.seed,
-                steps=args.steps,
-                drift=args.drift,
-                faults=args.faults,
-            ),
-        )
-    else:
-        tracer = NULL_TRACER
-    faults = get_fault_profile(args.faults) if args.faults else None
-    ctx = Context(device, seed=args.seed, tracer=tracer, faults=faults,
-                  drift=args.drift)
-    online = OnlineTuner(
-        ctx,
-        spec,
-        settings=OnlineSettings(
-            steps=args.steps,
-            step_interval_s=args.interval,
-            retune_window=args.retune_window,
-            warm_start_refits=not args.cold_refits,
-        ),
-        tune_settings=TunerSettings(
-            n_train=args.n_train, m_candidates=args.m_candidates
-        ),
-    )
-    try:
-        report = online.run(
-            np.random.default_rng(args.seed), model_seed=args.seed
-        )
-    finally:
-        tracer.close()
-    if args.trace:
-        print(f"trace written to {args.trace}")
-
+    outcome = _run(args, _watch_request(args))
+    report = outcome.watch
     if report.initial.failed:
         print("initial tuning FAILED: nothing to monitor "
               "(raise -n / -m)")
         return 1
-    best = spec.space[report.incumbent]
+    best = outcome.measurer.spec.space[report.incumbent]
     print(f"kernel            : {report.kernel}")
     print(f"device            : {report.device}")
     print(f"initial pick      : index {report.initial.best_index}, "
@@ -424,53 +368,6 @@ def cmd_predict(args) -> int:
     else:
         print(f"actual (measured) : {actual * 1e3:.3f} ms "
               f"(relative error {abs(pred - actual) / actual:.1%})")
-    return 0
-
-
-def cmd_fit_bench(args) -> int:
-    """Benchmark the adaptive ensemble-training engine against classic."""
-    from repro.ml.ensemble import EnsembleMLPRegressor
-
-    spec = get_benchmark(args.kernel)
-    device = get_device(args.device)
-    ctx = Context(device, seed=args.seed)
-    measurer = Measurer(ctx, spec)
-    rng = np.random.default_rng(args.seed)
-
-    print(f"measuring {args.n_train} random configurations ...")
-    ms = measurer.sample_and_measure(args.n_train, rng)
-    from repro.core.encoding import ConfigEncoder
-    enc = ConfigEncoder(spec.space)
-    X = enc.encode_indices(ms.indices)
-    y = np.log(ms.times_s)
-    print(f"training set: {X.shape[0]} valid samples, {X.shape[1]} features")
-
-    def run(label, **kwargs):
-        model = EnsembleMLPRegressor(seed=args.seed, **kwargs)
-        model.fit(X, y)
-        work = int(model.member_epochs_.sum())
-        print(f"{label:22s} {model.fit_wall_s_:7.2f} s  "
-              f"{len(model.loss_curve_):4d} epochs  "
-              f"{work:6d} member-epochs  "
-              f"stop={model.stop_reason_}  frozen={model.n_frozen_}")
-        return model
-
-    classic = run("classic", fit_mode="classic")
-    adaptive = run("adaptive", fit_mode="adaptive")
-    speedup = classic.fit_wall_s_ / max(adaptive.fit_wall_s_, 1e-12)
-    rel = float(np.mean(np.abs(
-        np.exp(adaptive.predict(X)) - np.exp(classic.predict(X))
-    ) / np.exp(classic.predict(X))))
-    print(f"speedup (classic/adaptive) : {speedup:.2f}x")
-    print(f"mean relative divergence   : {rel:.4f}")
-
-    t_warm = adaptive.fit_wall_s_
-    cold_epochs = len(adaptive.loss_curve_)
-    adaptive.fit(X, y, warm_start=True)
-    print(f"warm-start refit           : {adaptive.fit_wall_s_:.2f} s, "
-          f"{len(adaptive.loss_curve_)} epochs "
-          f"({len(adaptive.loss_curve_) / max(cold_epochs, 1):.1%} of cold), "
-          f"{t_warm / max(adaptive.fit_wall_s_, 1e-12):.1f}x faster")
     return 0
 
 
@@ -732,17 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated name=value pairs")
     pred.add_argument("--seed", type=int, default=0)
     pred.set_defaults(fn=cmd_predict)
-
-    ftb = sub.add_parser(
-        "fit-bench",
-        help="benchmark the adaptive ensemble-training engine vs classic",
-    )
-    ftb.add_argument("-k", "--kernel", default="convolution",
-                     choices=sorted(BENCHMARKS))
-    ftb.add_argument("-d", "--device", default="gtx980")
-    ftb.add_argument("-n", "--n-train", type=int, default=2000)
-    ftb.add_argument("--seed", type=int, default=0)
-    ftb.set_defaults(fn=cmd_fit_bench)
 
     exp = sub.add_parser("experiments", help="reproduction harness")
     exp.add_argument("--preset", default=None)

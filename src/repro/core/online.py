@@ -140,7 +140,8 @@ class RetuneEvent:
 
 @dataclass
 class OnlineReport:
-    """Outcome of one online campaign: initial tune + monitoring loop."""
+    """Outcome of one online campaign: initial tune, monitoring loop and
+    the detector's final :meth:`~repro.core.drift.CusumDetector.snapshot`."""
 
     kernel: str
     device: str
@@ -153,6 +154,7 @@ class OnlineReport:
     monitor_cost_s: float
     retunes: List[RetuneEvent]
     trajectory: List[Dict[str, Any]]  # per-step monitoring record
+    detector: Dict[str, Any]
 
     @property
     def retune_cost_s(self) -> float:
@@ -284,6 +286,7 @@ class OnlineTuner:
                     monitor_cost_s=0.0,
                     retunes=retunes,
                     trajectory=trajectory,
+                    detector=self.detector.snapshot(),
                 )
             if tuner.training_set is not None:
                 self._train_idx = tuner.training_set.indices.copy()
@@ -357,6 +360,7 @@ class OnlineTuner:
             monitor_cost_s=monitor_cost,
             retunes=retunes,
             trajectory=trajectory,
+            detector=self.detector.snapshot(),
         )
 
     # -- the alarm response ----------------------------------------------------

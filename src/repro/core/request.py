@@ -1,16 +1,18 @@
 """One tune entry point: a :class:`TuneRequest` in, a :class:`TuneOutcome` out.
 
-The paper's unit of work is one tune (§5, Fig. 3).  The ``repro tune``
-CLI, campaign-grid cells, :class:`~repro.core.campaign.PortabilityCampaign`
-and the serving daemon all describe it as a frozen, hashable
-:class:`TuneRequest` and call :func:`run_tune`, the one place that builds
-the context, the single measurer and the tuner — so equal requests give
-bit-identical results and ledgers whichever entry point they came from.
+The paper's unit of work is one tune (§5, Fig. 3), also run as a model-free
+*search* or as a *watch* (tune, then monitor and re-tune on drift).  The
+``repro tune``/``search``/``watch`` CLI, campaign-grid cells,
+:class:`~repro.core.campaign.PortabilityCampaign` and the serving daemon
+all describe it as a frozen, hashable :class:`TuneRequest` and call
+:func:`run_tune`, the one place that builds the context, the single
+measurer and the tuner — so equal requests give bit-identical results and
+ledgers whichever entry point they came from.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Optional, Tuple, Union
 
 import numpy as np
@@ -18,6 +20,7 @@ import numpy as np
 from repro.core.iterative import IterativeSettings, IterativeTuner
 from repro.core.measure import Measurer
 from repro.core.model import PerformanceModel
+from repro.core.online import OnlineReport, OnlineSettings, OnlineTuner
 from repro.core.results import MeasurementDB, TuningResult
 from repro.core.strategies import STRATEGY_CHOICES, SearchSettings, SearchTuner
 from repro.core.strategies.base import SearchOutcome, normalize_pins
@@ -44,27 +47,33 @@ class TuneRequest:
     compute the same result; the daemon coalesces and caches on them.
     ``kernel`` and ``device`` are catalog keys (callers taking full device
     names resolve them with :func:`~repro.simulator.devices.device_key`).
-    ``strategy`` is ``"ml"`` or a strategy-zoo name / ``"bandit"``, which
-    searches with the same allowance (``n_train + m_candidates``).
-    ``settings`` are :class:`~repro.core.tuner.TunerSettings`, or
-    :class:`~repro.core.iterative.IterativeSettings` with ``"ml"`` only;
-    the simulated-second budget is ``settings.max_cost_s``.  ``problem``
-    defaults to the paper's.  ``pins`` (mapping or pairs, stored sorted)
-    need a search strategy.  ``faults`` and ``drift`` take what
-    :class:`~repro.runtime.Context` takes.
+    ``strategy`` is ``"ml"`` or a strategy-zoo name / ``"bandit"``.
+    ``settings`` are :class:`~repro.core.tuner.TunerSettings` (a search
+    given these gets the same allowance, ``n_train + m_candidates``
+    proposals); :class:`~repro.core.iterative.IterativeSettings` with
+    ``"ml"`` only; or unpinned
+    :class:`~repro.core.strategies.SearchSettings` with a search strategy
+    only.  The simulated-second budget is ``settings.max_cost_s``.
+    ``problem`` defaults to the paper's.  ``pins`` (mapping or pairs,
+    stored sorted) need a search strategy.  ``faults`` and ``drift`` take
+    what :class:`~repro.runtime.Context` takes.  ``online``
+    (:class:`~repro.core.online.OnlineSettings`, ``"ml"`` with
+    ``TunerSettings`` only) makes the request a watch: the tune, then
+    ``online.steps`` of monitoring and re-tuning on drift.
     """
 
     kernel: str
     device: str
     seed: int = 0
     strategy: str = "ml"
-    settings: Union[TunerSettings, IterativeSettings] = field(
+    settings: Union[TunerSettings, IterativeSettings, SearchSettings] = field(
         default_factory=TunerSettings
     )
     problem: Any = None
     pins: Tuple[Tuple[str, Any], ...] = ()
     faults: Any = None
     drift: Any = None
+    online: Optional[OnlineSettings] = None
 
     def __post_init__(self):
         _check(self.kernel in BENCHMARKS,
@@ -77,12 +86,18 @@ class TuneRequest:
         _check(self.strategy == "ml" or self.strategy in STRATEGY_CHOICES,
                f"unknown strategy {self.strategy!r}; expected 'ml' or one "
                f"of {sorted(STRATEGY_CHOICES)}")
-        _check(isinstance(self.settings, TunerSettings)
-               or (isinstance(self.settings, IterativeSettings)
-                   and self.strategy == "ml"),
-               "settings must be TunerSettings, or IterativeSettings with "
-               f"strategy 'ml'; got {type(self.settings).__name__} with "
-               f"{self.strategy!r}")
+        ml = self.strategy == "ml"
+        other = IterativeSettings if ml else SearchSettings
+        _check(isinstance(self.settings, (TunerSettings, other)),
+               "settings must be TunerSettings, IterativeSettings with "
+               "strategy 'ml', or SearchSettings with a search strategy; "
+               f"got {type(self.settings).__name__} with {self.strategy!r}")
+        _check(not getattr(self.settings, "pins", ()),
+               "pins belong on the request, not in its SearchSettings")
+        _check(self.online is None
+               or (ml and isinstance(self.settings, TunerSettings)),
+               "online settings need strategy 'ml' with TunerSettings; got "
+               f"{type(self.settings).__name__} with {self.strategy!r}")
         paper = BENCHMARKS[self.kernel].paper_problem()
         if self.problem is None:
             object.__setattr__(self, "problem", paper)
@@ -106,22 +121,26 @@ class TuneRequest:
             seed=self.seed, strategy=self.strategy,
             settings=asdict(self.settings), problem=asdict(self.problem),
             pins=dict(self.pins), faults=self.faults, drift=self.drift,
+            online=None if self.online is None else asdict(self.online),
             **extra,
         )
 
 
 @dataclass(frozen=True)
 class TuneOutcome:
-    """What :func:`run_tune` returns: the result; the run's single
-    measurer (its ``stats``, its context's ``ledger``, and it can keep
-    measuring on that context); the fitted model (``None`` for searches
-    or a budget spent in stage one); the search outcome (``None`` for
-    ``"ml"``)."""
+    """What :func:`run_tune` returns: the result (a watch's initial
+    tune); the run's single measurer (its ``stats``, its context's
+    ``ledger``, and it can keep measuring on that context); the fitted
+    model (``None`` for searches or a budget spent in stage one; a
+    watch's model as its last refit left it); the search outcome
+    (``None`` for ``"ml"``); the watch report (``None`` unless
+    ``request.online`` is set)."""
 
     result: TuningResult
     measurer: Measurer
     model: Optional[PerformanceModel]
     search: Optional[SearchOutcome]
+    watch: Optional[OnlineReport] = None
 
     @property
     def ledger(self) -> CostLedger:
@@ -136,7 +155,7 @@ def run_tune(
     batcher=None,
     register=None,
 ) -> TuneOutcome:
-    """Run one tune.
+    """Run one tune, search or watch.
 
     ``tracer`` receives the spans (the caller closes it); ``db`` backs the
     measurer with a durable store; ``batcher`` routes its batches through
@@ -151,18 +170,25 @@ def run_tune(
                         db=db, batcher=batcher)
     if register is not None:
         register(measurer)
+    rng = np.random.default_rng(request.seed)
+    if request.online is not None:
+        online = OnlineTuner(ctx, spec, request.online, settings,
+                             measurer=measurer)
+        report = online.run(rng, model_seed=request.seed)
+        return TuneOutcome(report.initial, measurer, online.model, None,
+                           report)
     if request.strategy != "ml":
-        search = SearchSettings(
-            budget=settings.n_train + settings.m_candidates,
-            max_cost_s=settings.max_cost_s, pins=request.pins,
-            repeats=settings.repeats)
-        tuner = SearchTuner(ctx, spec, request.strategy, search,
+        if isinstance(settings, TunerSettings):
+            settings = SearchSettings(
+                budget=settings.n_train + settings.m_candidates,
+                max_cost_s=settings.max_cost_s, repeats=settings.repeats)
+        tuner = SearchTuner(ctx, spec, request.strategy,
+                            replace(settings, pins=request.pins),
                             measurer=measurer)
     elif isinstance(settings, IterativeSettings):
         tuner = IterativeTuner(ctx, spec, settings, measurer=measurer)
     else:
         tuner = MLAutoTuner(ctx, spec, settings, measurer=measurer)
-    result = tuner.tune(np.random.default_rng(request.seed),
-                        model_seed=request.seed)
+    result = tuner.tune(rng, model_seed=request.seed)
     return TuneOutcome(result, measurer, tuner.model,
                        getattr(tuner, "outcome", None))

@@ -164,8 +164,8 @@ def validate_tune(req: Mapping[str, Any]) -> Dict[str, Any]:
 def validate_watch(req: Mapping[str, Any]) -> Dict[str, Any]:
     """Canonicalize a ``watch`` request: defaults applied, types checked.
 
-    Same division of labour as :func:`validate_tune`: shape here,
-    kernel/device/profile existence in the server.
+    Same division of labour as :func:`validate_tune`: shape here, values
+    in the :class:`~repro.core.request.TuneRequest` the server builds.
     """
     out = dict(WATCH_DEFAULTS)
     for field in ("kernel", "device"):

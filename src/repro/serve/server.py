@@ -12,14 +12,16 @@ Architecture (one asyncio loop + two kinds of worker thread):
   and subscribe clients to campaigns; every write goes through a
   per-connection queue so streamed events and results never interleave.
 * campaign threads — a small ``ThreadPoolExecutor`` runs
-  :func:`~repro.serve.campaigns.run_campaign`; results come back to the
-  loop via ``call_soon_threadsafe``.
+  :func:`~repro.serve.campaigns.run_campaign` for a tune or a watch;
+  results come back to the loop via ``call_soon_threadsafe``.
 * the measurement broker thread — every campaign's measurements, a
   watch's monitoring probes included, flow through one
   :class:`~repro.serve.broker.MeasurementBroker` pump.
 
-Request lifecycle: result-cache hit -> answer immediately; key already
-in flight -> coalesce (subscribe to the one campaign); otherwise admit
+Request lifecycle: build the :class:`~repro.core.request.TuneRequest`
+(a bad value gets ``error`` before any ``ack``); result-cache hit ->
+answer immediately; tune already in flight -> coalesce (subscribe to the
+one campaign); otherwise admit
 (bounded by ``max_pending``; beyond it the client gets ``rejected`` with
 a ``retry_after_s`` hint), clamp the campaign budget to the client's
 remaining allowance, and launch.  ``shutdown`` drains: in-flight
@@ -43,12 +45,10 @@ from repro.core.request import TuneRequest
 from repro.core.tuner import TunerSettings
 from repro.kernels import BENCHMARKS, get_benchmark
 from repro.simulator.devices import DEVICES
-from repro.simulator.drift import make_drift
-from repro.simulator.faults import make_injector
 
 from repro.serve import protocol
 from repro.serve.broker import MeasurementBroker
-from repro.serve.campaigns import run_campaign, run_watch
+from repro.serve.campaigns import run_campaign, watch_request
 from repro.serve.state import (
     ClientAccount,
     ModelCache,
@@ -373,11 +373,12 @@ class TuningServer:
             protocol.response("ack", req_id, coalesced=False, cached=False)
         )
         self.counters["campaigns"] += 1
-        self._launch(key, pending, run_campaign, key)
+        self._launch(key, key, pending)
 
-    def _launch(self, key, pending, run, arg) -> None:
-        """Put an admitted tune or watch in flight: ``run(arg, broker,
-        sink, register)`` on a campaign thread, answered on the loop."""
+    def _launch(self, key, request: TuneRequest, pending) -> None:
+        """Put an admitted tune or watch in flight under ``key``:
+        ``run_campaign(request, broker, sink, register)`` on a campaign
+        thread, answered on the loop."""
         key_fields = self._key_fields(key)
         flight = _InFlight(key)
         flight.subscribers.append(pending)
@@ -399,7 +400,7 @@ class TuningServer:
             flight.measurer = measurer
 
         future = self.loop.run_in_executor(
-            self._pool, run, arg, self.broker, sink, register
+            self._pool, run_campaign, request, self.broker, sink, register
         )
         future.add_done_callback(
             lambda fut: self.loop.call_soon_threadsafe(
@@ -410,26 +411,14 @@ class TuningServer:
     # -- watch -----------------------------------------------------------------
 
     def _handle_watch(self, conn: _Connection, req_id, req) -> None:
-        """Admit one online campaign.  Same admission control as tune
-        (budget, drain, queue depth) but no cache and no coalescing —
-        see :class:`~repro.serve.state.WatchKey` for why."""
+        """Admit one online campaign.  Same validation and admission
+        control as tune (budget, drain, queue depth) but no cache and no
+        coalescing — see :class:`~repro.serve.state.WatchKey` for why."""
         params = protocol.validate_watch(req)
-        if params["kernel"] not in BENCHMARKS:
-            raise protocol.ProtocolError(
-                f"unknown kernel {params['kernel']!r}; "
-                f"known: {sorted(BENCHMARKS)}"
-            )
-        if params["device"] not in DEVICES:
-            raise protocol.ProtocolError(
-                f"unknown device {params['device']!r}; "
-                f"known: {sorted(DEVICES)}"
-            )
-        for field, coerce in (("faults", make_injector), ("drift", make_drift)):
-            if params[field] is not None:
-                try:  # fail fast, before the campaign thread
-                    coerce(params[field])
-                except ValueError as exc:
-                    raise protocol.ProtocolError(str(exc)) from None
+        try:  # the request validates itself: reject before any ack
+            request = watch_request(params)
+        except ValueError as exc:
+            raise protocol.ProtocolError(str(exc)) from None
         if conn.account.exhausted():
             self._reject(conn, req_id, "client_budget_exhausted")
             return
@@ -441,17 +430,7 @@ class TuningServer:
             return
 
         self._watch_seq += 1
-        key = WatchKey(
-            serial=self._watch_seq,
-            kernel=params["kernel"],
-            device=params["device"],
-            n_train=params["n_train"],
-            m_candidates=params["m_candidates"],
-            seed=params["seed"],
-            steps=params["steps"],
-            drift=params["drift"],
-            faults=params["faults"],
-        )
+        key = WatchKey(self._watch_seq, request)
         pending = _Connection.Pending(
             conn, req_id, params["stream"], initiator=True
         )
@@ -462,7 +441,7 @@ class TuningServer:
             )
         )
         self.counters["watches"] += 1
-        self._launch(key, pending, run_watch, params)
+        self._launch(key, request, pending)
 
     def _campaign_done(self, key, future) -> None:
         """Answer every subscriber of a finished tune or watch."""
@@ -505,16 +484,17 @@ class TuningServer:
     def _key_fields(key) -> Dict[str, Any]:
         """The ``key`` payload of a tune (a TuneRequest) or a watch."""
         if isinstance(key, WatchKey):
+            r = key.request
             return {
                 "watch": key.serial,
-                "kernel": key.kernel,
-                "device": key.device,
-                "n_train": key.n_train,
-                "m_candidates": key.m_candidates,
-                "seed": key.seed,
-                "steps": key.steps,
-                "drift": key.drift,
-                "faults": key.faults,
+                "kernel": r.kernel,
+                "device": r.device,
+                "n_train": r.settings.n_train,
+                "m_candidates": r.settings.m_candidates,
+                "seed": r.seed,
+                "steps": r.online.steps,
+                "drift": r.drift,
+                "faults": r.faults,
             }
         return {
             "kernel": key.kernel,

@@ -32,26 +32,19 @@ from repro.serve.server import ServerThread, TuningServer
 def _probe_tune_cost_s(kernel: str, device: str, n_train: int,
                        m_candidates: int, seed: int) -> float:
     """Simulated-second cost of the watch's initial tune, computed by
-    running the watch's own path (an :class:`OnlineTuner` with no
-    monitoring steps) locally.  Deterministic, so it exactly predicts
-    where the server-side watch's drift clock stands when monitoring
-    begins."""
-    import numpy as np
+    running the watch's own request (with no monitoring steps) locally
+    through :func:`~repro.core.request.run_tune`, the call the daemon
+    makes.  Deterministic, so it exactly predicts where the server-side
+    watch's drift clock stands when monitoring begins."""
+    from repro.core.request import run_tune
+    from repro.serve.campaigns import watch_request
+    from repro.serve.protocol import validate_watch
 
-    from repro.core.online import OnlineSettings, OnlineTuner
-    from repro.core.tuner import TunerSettings
-    from repro.kernels import get_benchmark
-    from repro.runtime import Context
-    from repro.simulator.devices import get_device
-
-    online = OnlineTuner(
-        Context(get_device(device), seed=seed),
-        get_benchmark(kernel),
-        OnlineSettings(steps=0),
-        TunerSettings(n_train=n_train, m_candidates=m_candidates),
-    )
-    report = online.run(np.random.default_rng(seed), model_seed=seed)
-    return report.initial_cost_s
+    request = watch_request(validate_watch({
+        "kernel": kernel, "device": device, "n_train": n_train,
+        "m_candidates": m_candidates, "seed": seed, "steps": 0,
+    }))
+    return run_tune(request).watch.initial_cost_s
 
 
 def _drift_smoke(args, server: TuningServer, port: int) -> tuple:

@@ -25,6 +25,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from repro.core.request import TuneRequest
 from repro.simulator.noise import CostLedger
 
 
@@ -33,21 +34,16 @@ class WatchKey:
     """Identity of one *online* (watch) campaign in the in-flight table.
 
     Deliberately **not** a coalescing key: two watches with identical
-    parameters are still different campaigns — each lives on its own
+    requests are still different campaigns — each lives on its own
     drift clock, started at its own moment.  ``serial`` (a per-server
-    counter) keeps every watch unique in the shared in-flight dict while
-    the descriptive fields make stats and event frames readable.
+    counter) keeps every watch unique in the shared in-flight dict;
+    ``request`` is the watch's :class:`~repro.core.request.TuneRequest`
+    (``online`` set), from which stats and event frames take their
+    readable fields.
     """
 
     serial: int
-    kernel: str
-    device: str
-    n_train: int
-    m_candidates: int
-    seed: int
-    steps: int
-    drift: Optional[str] = None
-    faults: Optional[str] = None
+    request: TuneRequest
 
 
 class _LRU:

@@ -121,6 +121,28 @@ class TestCommands:
             build_parser().parse_args(["tune", "-k", "bogus", "-d", "intel"])
 
 
+class TestBadInputExitsWithOneLine:
+    """``repro watch`` and ``repro search`` build a TuneRequest like
+    ``repro tune``, so a bad value ends in ``repro <command>: <reason>``,
+    never a traceback."""
+
+    WATCH = ["watch", "-k", "convolution", "-d", "nvidia", "--steps", "1"]
+    SEARCH = ["search", "-k", "convolution", "-d", "nvidia", "--budget", "8"]
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (WATCH + ["--faults", "bogus"], "repro watch: unknown fault profile"),
+        (WATCH + ["--drift", "bogus"], "repro watch: unknown drift"),
+        (WATCH + ["-d", "bogusdev"], "repro watch: unknown device"),
+        (WATCH + ["-n", "5"], "repro watch: n_train"),
+        (SEARCH + ["--faults", "bogus"], "repro search: unknown fault profile"),
+        (SEARCH + ["--budget", "0"], "repro search: budget"),
+    ])
+    def test_bad_value_exits_with_command_prefix(self, argv, prefix):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value.code).startswith(prefix)
+
+
 class TestExperimentsSubcommand:
     def test_experiments_only_tables(self, capsys):
         rc = main(["experiments", "--only", "tables"])

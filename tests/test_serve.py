@@ -195,6 +195,7 @@ class TestServer:
     def test_stats_reports_inflight_failure_breakdown(self):
         """The stats payload lists each in-flight campaign with its key
         fields, age and the measurer's live ``failure_breakdown()``."""
+        from repro.core.online import OnlineSettings
         from repro.serve.server import _InFlight
         from repro.serve.state import WatchKey
 
@@ -212,9 +213,11 @@ class TestServer:
         flight.measurer = m
         server.inflight[key] = flight
         # A watch campaign whose measurer has not registered yet.
-        wkey = WatchKey(serial=1, kernel="convolution", device="nvidia",
-                        n_train=50, m_candidates=10, seed=3, steps=5,
-                        drift="thermal-throttle", faults=None)
+        wkey = WatchKey(serial=1, request=TuneRequest(
+            kernel="convolution", device="nvidia", seed=3,
+            settings=TunerSettings(n_train=50, m_candidates=10),
+            drift="thermal-throttle", online=OnlineSettings(steps=5),
+        ))
         server.inflight[wkey] = _InFlight(wkey)
 
         stats = server.stats()

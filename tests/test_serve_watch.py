@@ -151,6 +151,21 @@ def test_watch_rejects_unknown_profiles_and_drains():
             assert client.ping()
 
 
+@pytest.mark.parametrize("bad", [{"n_train": 5}, {"seed": -1}])
+def test_invalid_watch_gets_error_before_any_ack(bad):
+    """A watch is a TuneRequest: a value the request rejects is answered
+    with ``error`` at admission, and no campaign thread starts."""
+    server = TuningServer(max_pending=4, max_workers=1)
+    with ServerThread(server) as port:
+        with TuningClient("127.0.0.1", port, timeout=60) as client:
+            client.send({"op": "watch", "id": "w", "kernel": "convolution",
+                         "device": "nvidia", "steps": 1, **bad})
+            reply = client.recv()
+            assert reply["type"] == "error", reply
+            assert reply["id"] == "w"
+            assert client.stats()["counters"]["watches"] == 0
+
+
 # -- drift-smoke onset probe ---------------------------------------------------
 
 
@@ -159,13 +174,13 @@ def test_smoke_probe_equals_the_watch_initial_tune_cost():
     initial tune, probed locally.  The probe must run the watch's own
     path (an OnlineTuner, which pins freezing off), or the onset lands
     while the server-side watch is still tuning."""
-    from repro.serve.campaigns import run_watch
+    from repro.serve.campaigns import run_campaign, watch_request
     from repro.serve.smoke import _probe_tune_cost_s
 
     params = protocol.validate_watch({
         "kernel": "convolution", "device": "nvidia", "n_train": 300,
         "m_candidates": 30, "seed": 0, "steps": 0,
     })
-    watch = run_watch(params)
+    watch = run_campaign(watch_request(params))
     probe = _probe_tune_cost_s("convolution", "nvidia", 300, 30, 0)
     assert probe == watch["result"]["initial_cost_s"]

@@ -20,7 +20,7 @@ from repro.obs import Tracer
 from repro.runtime import Context
 from repro.serve import protocol
 from repro.serve.broker import MeasurementBroker
-from repro.serve.campaigns import run_watch
+from repro.serve.campaigns import run_campaign, watch_request
 from repro.simulator import NVIDIA_K40
 
 
@@ -62,7 +62,8 @@ def test_daemon_watch_probes_go_through_the_broker():
     })
     registered = []
     with MeasurementBroker() as broker:
-        run_watch(params, batcher=broker, register=registered.append)
+        run_campaign(watch_request(params), batcher=broker,
+                     register=registered.append)
         configs = broker.stats_snapshot()["configs"]
     (measurer,) = registered
     assert configs == measurer.stats.n_requested
