@@ -24,6 +24,7 @@ import numpy as np
 from repro import Context, PerformanceModel, TunerSettings
 from repro.core.iterative import IterativeSettings
 from repro.core.measure import Measurer
+from repro.experiments import run_all
 from repro.kernels import BENCHMARKS, get_benchmark
 from repro.simulator.devices import DEVICES, get_device
 from repro.simulator.drift import DRIFT_PROFILES
@@ -142,16 +143,23 @@ def _search_request(args):
 
 
 def _watch_request(args):
-    """The TuneRequest a parsed ``repro watch`` command line asks for."""
-    from repro.core.online import OnlineSettings
+    """The TuneRequest a parsed ``repro watch`` command line asks for: the
+    daemon's own, so unset flags take ``protocol.WATCH_DEFAULTS``."""
+    from repro.serve.campaigns import watch_request
+    from repro.serve.protocol import validate_watch
+    from repro.simulator.devices import device_key
 
-    return _request(args, lambda: dict(
-        settings=TunerSettings(n_train=args.n_train,
-                               m_candidates=args.m_candidates),
-        online=OnlineSettings(steps=args.steps, step_interval_s=args.interval,
-                              retune_window=args.retune_window,
-                              warm_start_refits=not args.cold_refits),
-    ))
+    try:
+        return watch_request(validate_watch(dict(
+            kernel=args.kernel, device=device_key(args.device),
+            n_train=args.n_train, m_candidates=args.m_candidates,
+            seed=args.seed, steps=args.steps, interval_s=args.interval,
+            retune_window=args.retune_window, drift=args.drift,
+            faults=args.faults,
+            warm_start=False if args.cold_refits else None,
+        )))
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(f"repro {args.command}: {exc.args[0]}") from None
 
 
 def _run(args, request):
@@ -259,7 +267,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_watch(args) -> int:
-    outcome = _run(args, _watch_request(args))
+    request = _watch_request(args)
+    outcome = _run(args, request)
     report = outcome.watch
     if report.initial.failed:
         print("initial tuning FAILED: nothing to monitor "
@@ -271,7 +280,7 @@ def cmd_watch(args) -> int:
     print(f"initial pick      : index {report.initial.best_index}, "
           f"{report.initial.best_time_s * 1e3:.3f} ms")
     print(f"monitoring        : {report.steps} probes x "
-          f"{args.interval:.0f}s ({report.skipped} skipped)")
+          f"{request.online.step_interval_s:.0f}s ({report.skipped} skipped)")
     print(f"alarms / re-tunes : {report.alarms} / {len(report.retunes)}")
     for event in report.retunes:
         print(f"  step {event.step:4d} @ {event.at_s:9.1f}s: "
@@ -368,30 +377,6 @@ def cmd_predict(args) -> int:
     else:
         print(f"actual (measured) : {actual * 1e3:.3f} ms "
               f"(relative error {abs(pred - actual) / actual:.1%})")
-    return 0
-
-
-def cmd_experiments(args) -> int:
-    from repro.experiments.run_all import main as run_all_main
-
-    forwarded = []
-    if args.preset:
-        forwarded += ["--preset", args.preset]
-    if args.only:
-        forwarded += ["--only", args.only]
-    if args.out:
-        forwarded += ["--out", args.out]
-    if args.jobs is not None:
-        forwarded += ["--jobs", str(args.jobs)]
-    if args.serial:
-        forwarded += ["--serial"]
-    if args.oracle_store:
-        forwarded += ["--oracle-store", args.oracle_store]
-    if args.trace:
-        forwarded += ["--trace", args.trace]
-    if args.faults:
-        forwarded += ["--faults", args.faults]
-    run_all_main(forwarded)
     return 0
 
 
@@ -567,14 +552,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     wat.add_argument("-k", "--kernel", required=True, choices=sorted(BENCHMARKS))
     wat.add_argument("-d", "--device", required=True)
-    wat.add_argument("-n", "--n-train", type=int, default=400)
-    wat.add_argument("-m", "--m-candidates", type=int, default=40)
-    wat.add_argument("--seed", type=int, default=0)
-    wat.add_argument("--steps", type=int, default=120,
+    # Unset flags stay None and take the daemon's WATCH_DEFAULTS.
+    wat.add_argument("-n", "--n-train", type=int)
+    wat.add_argument("-m", "--m-candidates", type=int)
+    wat.add_argument("--seed", type=int)
+    wat.add_argument("--steps", type=int,
                      help="monitoring probes after the initial tune")
-    wat.add_argument("--interval", type=float, default=30.0,
+    wat.add_argument("--interval", type=float,
                      help="simulated seconds of serving between probes")
-    wat.add_argument("--retune-window", type=int, default=32,
+    wat.add_argument("--retune-window", type=int,
                      help="top-ranked candidates re-measured on alarm")
     wat.add_argument("--drift", default=None,
                      help="performance-drift schedule, e.g. "
@@ -630,25 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--seed", type=int, default=0)
     pred.set_defaults(fn=cmd_predict)
 
-    exp = sub.add_parser("experiments", help="reproduction harness")
-    exp.add_argument("--preset", default=None)
-    exp.add_argument("--only", default=None)
-    exp.add_argument("--out", default=None)
-    exp.add_argument("--jobs", type=int, default=None,
-                     help="run experiment units on this many worker processes")
-    exp.add_argument("--serial", action="store_true",
-                     help="force inline execution (overrides --jobs)")
-    exp.add_argument("--oracle-store", default=None,
-                     help="directory of persistent ground-truth tables "
-                          "(default: $REPRO_ORACLE_STORE if set)")
-    exp.add_argument("--trace", default=None,
-                     help="write a JSONL trace of the run "
-                          "(inspect with 'repro trace-summary')")
-    exp.add_argument("--faults", default=None,
-                     help="fault-injection profile applied to runtime-backed "
-                          f"units ({', '.join(sorted(FAULT_PROFILES))}); "
-                          "oracle-backed ground truth stays fault-free")
-    exp.set_defaults(fn=cmd_experiments)
+    sub.add_parser(
+        "experiments", help="reproduction harness", parents=[run_all.flags()]
+    ).set_defaults(fn=run_all.run_args)
 
     srv = sub.add_parser(
         "serve", help="line-JSON tuning daemon (see docs/serving.md)"

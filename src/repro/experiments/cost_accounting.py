@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.measure import Measurer
 from repro.core.model import PerformanceModel
 from repro.experiments.reporting import header, kv_block
+from repro.experiments.scheduler import Unit
 from repro.kernels import ConvolutionKernel
 from repro.runtime import Context
 from repro.simulator.devices import DEVICES
@@ -52,6 +53,14 @@ def run(
         "gather_total_s": ledger.total_s,
         "train_wall_s": train_wall_s,
     }
+
+
+def units(p, seed: int, faults=None) -> list:
+    return [Unit("cost", run, dict(seed=seed, faults=faults))]
+
+
+def merge(p, results: list) -> Dict:
+    return results[0]
 
 
 def format_text(results: Dict) -> str:

@@ -19,6 +19,7 @@ from typing import Dict
 from repro.experiments.ascii_plot import bar_chart
 from repro.experiments.oracle_store import OracleProvider
 from repro.experiments.reporting import header, ms, table
+from repro.experiments.scheduler import Unit
 from repro.kernels import ConvolutionKernel
 from repro.simulator.devices import DEVICES, MAIN_DEVICES
 
@@ -57,6 +58,15 @@ def run(devices=MAIN_DEVICES, seed: int = 0, oracles: OracleProvider | None = No
             else:
                 matrix[target][source] = t / best[target]["time_s"]
     return {"best": best, "matrix": matrix, "devices": tuple(devices)}
+
+
+def units(p, seed: int, faults=None) -> list:
+    return [Unit("fig01", run, dict(seed=seed),
+                 tables=tuple(("convolution", d) for d in MAIN_DEVICES))]
+
+
+def merge(p, results: list) -> Dict:
+    return results[0]
 
 
 def format_text(results: Dict) -> str:

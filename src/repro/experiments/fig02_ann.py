@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.core.encoding import ConfigEncoder
 from repro.experiments.reporting import header, kv_block
+from repro.experiments.scheduler import Unit
 from repro.kernels import BENCHMARKS, get_benchmark
 from repro.ml import MLPRegressor, Sigmoid
 
@@ -39,6 +40,14 @@ def run() -> Dict:
     info["neuron_example"] = {"weights": w, "inputs": x, "z": z,
                              "y": float(Sigmoid.value(np.array([z]))[0])}
     return info
+
+
+def units(p, seed: int, faults=None) -> list:
+    return [Unit("fig02", run)]
+
+
+def merge(p, results: list) -> Dict:
+    return results[0]
 
 
 def format_text(results: Dict) -> str:

@@ -24,6 +24,7 @@ from repro.core.model import PerformanceModel
 from repro.experiments.ascii_plot import line_plot
 from repro.experiments.presets import get_preset
 from repro.experiments.reporting import header, pct, table
+from repro.experiments.scheduler import Unit, run_units
 from repro.kernels import BENCHMARKS, get_benchmark
 from repro.runtime import Context
 from repro.simulator.devices import DEVICES, MAIN_DEVICES
@@ -93,6 +94,30 @@ def error_curve(
     }
 
 
+def units(
+    p, seed: int, faults=None, devices=MAIN_DEVICES, benchmarks=tuple(BENCHMARKS)
+) -> list:
+    return [
+        Unit(f"fig04-06/{b}@{d}", error_curve, dict(
+            benchmark=b, device_key=d, training_sizes=p.training_sizes,
+            holdout=p.holdout, repeats=p.repeats, seed=seed, faults=faults,
+        ))
+        for d in devices
+        for b in benchmarks
+    ]
+
+
+def merge(p, results: list) -> Dict:
+    curves = {(c["device"], c["benchmark"]): c for c in results}
+    return {
+        "preset": p.name,
+        "sizes": p.training_sizes,
+        "curves": curves,
+        "devices": tuple(dict.fromkeys(d for d, _ in curves)),
+        "benchmarks": tuple(dict.fromkeys(b for _, b in curves)),
+    }
+
+
 def run(
     preset=None,
     devices=MAIN_DEVICES,
@@ -101,25 +126,7 @@ def run(
     faults=None,
 ) -> Dict:
     p = get_preset(preset)
-    curves = {}
-    for device in devices:
-        for benchmark in benchmarks:
-            curves[(device, benchmark)] = error_curve(
-                benchmark,
-                device,
-                p.training_sizes,
-                p.holdout,
-                repeats=p.repeats,
-                seed=seed,
-                faults=faults,
-            )
-    return {
-        "preset": p.name,
-        "sizes": p.training_sizes,
-        "curves": curves,
-        "devices": tuple(devices),
-        "benchmarks": tuple(benchmarks),
-    }
+    return merge(p, run_units(units(p, seed, faults, devices, benchmarks)))
 
 
 FIGURE_BY_DEVICE = {"intel": "Figure 4", "nvidia": "Figure 5", "amd": "Figure 6"}

@@ -12,21 +12,31 @@ from typing import Dict
 from repro.experiments.fig04_06_model_error import error_curve
 from repro.experiments.presets import get_preset
 from repro.experiments.reporting import header, pct, table
+from repro.experiments.scheduler import Unit, run_units
 
 NVIDIA_GENERATIONS = ("c2070", "nvidia", "gtx980")  # Fermi, Kepler, Maxwell
 LABELS = {"c2070": "C2070", "nvidia": "K40", "gtx980": "GTX980"}
 
 
+def units(p, seed: int, faults=None) -> list:
+    return [
+        Unit(f"fig07/{d}", error_curve, dict(
+            benchmark="convolution", device_key=d,
+            training_sizes=p.training_sizes, holdout=p.holdout,
+            repeats=p.repeats, seed=seed, faults=faults,
+        ))
+        for d in NVIDIA_GENERATIONS
+    ]
+
+
+def merge(p, results: list) -> Dict:
+    curves = {c["device"]: c for c in results}
+    return {"preset": p.name, "sizes": p.training_sizes, "curves": curves}
+
+
 def run(preset=None, seed: int = 0, faults=None) -> Dict:
     p = get_preset(preset)
-    curves = {
-        dev: error_curve(
-            "convolution", dev, p.training_sizes, p.holdout, repeats=p.repeats,
-            seed=seed, faults=faults,
-        )
-        for dev in NVIDIA_GENERATIONS
-    }
-    return {"preset": p.name, "sizes": p.training_sizes, "curves": curves}
+    return merge(p, run_units(units(p, seed, faults)))
 
 
 def format_text(results: Dict) -> str:

@@ -20,6 +20,7 @@ from repro.core.measure import Measurer
 from repro.core.model import PerformanceModel
 from repro.experiments.ascii_plot import scatter_plot
 from repro.experiments.reporting import header, kv_block, table
+from repro.experiments.scheduler import Unit, run_units
 from repro.kernels import ConvolutionKernel
 from repro.runtime import Context
 from repro.simulator.devices import DEVICES, MAIN_DEVICES
@@ -73,14 +74,27 @@ def scatter_for_device(
     }
 
 
-def run(devices=MAIN_DEVICES, n_train: int = 2000, seed: int = 0, faults=None) -> Dict:
+def units(
+    p, seed: int, faults=None, devices=MAIN_DEVICES, n_train: int = 2000
+) -> list:
+    """One scatter per device; the preset's sizes do not apply (``p`` is
+    unused), every run trains on ``n_train`` samples."""
+    return [
+        Unit(f"fig08-10/{d}", scatter_for_device,
+             dict(device_key=d, n_train=n_train, seed=seed, faults=faults))
+        for d in devices
+    ]
+
+
+def merge(p, results: list) -> Dict:
     return {
-        "devices": tuple(devices),
-        "scatter": {
-            d: scatter_for_device(d, n_train=n_train, seed=seed, faults=faults)
-            for d in devices
-        },
+        "devices": tuple(s["device"] for s in results),
+        "scatter": {s["device"]: s for s in results},
     }
+
+
+def run(devices=MAIN_DEVICES, n_train: int = 2000, seed: int = 0, faults=None) -> Dict:
+    return merge(None, run_units(units(None, seed, faults, devices, n_train)))
 
 
 def format_text(results: Dict, max_rows: int = 100) -> str:

@@ -25,6 +25,7 @@ from repro.core.model import PerformanceModel
 from repro.experiments.oracle_store import OracleProvider
 from repro.experiments.presets import get_preset
 from repro.experiments.reporting import header, table
+from repro.experiments.scheduler import Unit, run_units
 from repro.kernels import ConvolutionKernel
 from repro.simulator.devices import DEVICES, MAIN_DEVICES
 
@@ -94,6 +95,26 @@ def tuner_grid_for_device(
     }
 
 
+def units(p, seed: int, faults=None, devices=MAIN_DEVICES) -> list:
+    # Single tuning runs are high-variance (one random sample, one model);
+    # always average at least two, as the paper averages several networks.
+    return [
+        Unit(f"fig11-13/{d}", tuner_grid_for_device, dict(
+            device_key=d, sizes=p.tuner_sizes, m_values=p.tuner_m,
+            repeats=max(p.repeats, 2), seed=seed,
+        ), tables=(("convolution", d),))
+        for d in devices
+    ]
+
+
+def merge(p, results: list) -> Dict:
+    return {
+        "preset": p.name,
+        "devices": tuple(g["device"] for g in results),
+        "grids": {g["device"]: g for g in results},
+    }
+
+
 def run(
     preset=None,
     devices=MAIN_DEVICES,
@@ -101,17 +122,7 @@ def run(
     oracles: Optional[OracleProvider] = None,
 ) -> Dict:
     p = get_preset(preset)
-    # Single tuning runs are high-variance (one random sample, one model);
-    # always average at least two, as the paper averages several networks.
-    repeats = max(p.repeats, 2)
-    grids = {
-        d: tuner_grid_for_device(
-            d, p.tuner_sizes, p.tuner_m, repeats=repeats, seed=seed,
-            oracles=oracles,
-        )
-        for d in devices
-    }
-    return {"preset": p.name, "devices": tuple(devices), "grids": grids}
+    return merge(p, run_units(units(p, seed, devices=devices), oracles))
 
 
 def format_text(results: Dict) -> str:

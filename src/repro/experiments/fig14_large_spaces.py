@@ -19,6 +19,7 @@ from repro.core.model import PerformanceModel
 from repro.experiments.oracle_store import OracleProvider
 from repro.experiments.presets import get_preset
 from repro.experiments.reporting import header, table
+from repro.experiments.scheduler import Unit, run_units
 from repro.kernels import get_benchmark
 from repro.simulator.devices import DEVICES, MAIN_DEVICES
 
@@ -84,6 +85,28 @@ def tune_large_space(
     return result
 
 
+def units(p, seed: int, faults=None, devices=MAIN_DEVICES) -> list:
+    return [
+        Unit(f"fig14/{b}@{d}", tune_large_space, dict(
+            benchmark=b, device_key=d, n_train=p.fig14_train,
+            m_candidates=p.fig14_m, random_budget=p.fig14_random_budget,
+            seed=seed,
+        ))
+        for b in BENCHMARKS
+        for d in devices
+    ]
+
+
+def merge(p, results: list) -> Dict:
+    cells = {(c["benchmark"], c["device"]): c for c in results}
+    return {
+        "preset": p.name,
+        "devices": tuple(dict.fromkeys(d for _, d in cells)),
+        "benchmarks": BENCHMARKS,
+        "cells": cells,
+    }
+
+
 def run(
     preset=None,
     devices=MAIN_DEVICES,
@@ -91,24 +114,7 @@ def run(
     oracles: Optional[OracleProvider] = None,
 ) -> Dict:
     p = get_preset(preset)
-    cells = {}
-    for benchmark in BENCHMARKS:
-        for device in devices:
-            cells[(benchmark, device)] = tune_large_space(
-                benchmark,
-                device,
-                n_train=p.fig14_train,
-                m_candidates=p.fig14_m,
-                random_budget=p.fig14_random_budget,
-                seed=seed,
-                oracles=oracles,
-            )
-    return {
-        "preset": p.name,
-        "devices": tuple(devices),
-        "benchmarks": BENCHMARKS,
-        "cells": cells,
-    }
+    return merge(p, run_units(units(p, seed, devices=devices), oracles))
 
 
 def format_text(results: Dict) -> str:

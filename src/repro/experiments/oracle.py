@@ -24,8 +24,8 @@ import numpy as np
 
 from repro.kernels.base import KernelSpec
 from repro.simulator.device import DeviceSpec
-from repro.simulator.executor import execute_batch, simulate_kernel_time
-from repro.simulator.validity import validate
+from repro.simulator.executor import execute_batch
+from repro.simulator.hashing import SM_GAMMA, SM_MIX_A, SM_MIX_B, splitmix64, unit_open
 
 #: Chunk size for vectorized true-time sweeps.
 ORACLE_CHUNK = 1 << 15
@@ -45,20 +45,6 @@ ORACLE_CHUNK = 1 << 15
 #   receive identical values.
 
 _U64 = np.uint64
-_GAMMA = _U64(0x9E3779B97F4A7C15)
-_MIX_A = _U64(0xBF58476D1CE4E5B9)
-_MIX_B = _U64(0x94D049BB133111EB)
-
-
-def _splitmix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U64(30))) * _MIX_A
-    z = (z ^ (z >> _U64(27))) * _MIX_B
-    return z ^ (z >> _U64(31))
-
-
-def _unit_open(h: np.ndarray) -> np.ndarray:
-    """uint64 hash -> float64 uniform on the *open* interval (0, 1)."""
-    return ((h >> _U64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
 
 
 def keyed_standard_normal(
@@ -71,10 +57,10 @@ def keyed_standard_normal(
     """
     idx = np.asarray(indices, dtype=np.int64).astype(np.uint64)
     key = _U64(int(call_key) & 0xFFFFFFFFFFFFFFFF)
-    lanes = (np.arange(repeats, dtype=np.uint64) + _U64(1)) * _GAMMA
-    seed = _splitmix64(_splitmix64(idx ^ key)[None, :] ^ lanes[:, None])
-    u1 = _unit_open(_splitmix64(seed ^ _MIX_A))
-    u2 = _unit_open(_splitmix64(seed ^ _MIX_B))
+    lanes = (np.arange(repeats, dtype=np.uint64) + _U64(1)) * _U64(SM_GAMMA)
+    seed = splitmix64(splitmix64(idx ^ key)[None, :] ^ lanes[:, None])
+    u1 = unit_open(splitmix64(seed ^ _U64(SM_MIX_A)))
+    u2 = unit_open(splitmix64(seed ^ _U64(SM_MIX_B)))
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
@@ -107,17 +93,6 @@ class TrueTimeOracle:
         self._dirty = 0  # partial entries computed since the last save
         self._probed_full = False
 
-    def _compute(self, index: int) -> float:
-        config = self.spec.space[index]
-        profile = self.spec.workload(config, self.device)
-        if not validate(profile, self.device):
-            return float("nan")
-        return simulate_kernel_time(
-            profile,
-            self.device,
-            jitter_key=(self.spec.name, config.as_tuple()),
-        )
-
     def time_of(self, index: int) -> float:
         """True time of one configuration (NaN if invalid)."""
         index = int(index)
@@ -128,9 +103,9 @@ class TrueTimeOracle:
     def _compute_batch(self, indices: np.ndarray) -> np.ndarray:
         """True times of many configurations via the batch executor.
 
-        Bit-identical to looping :meth:`_compute` (the batch-engine
-        property tests pin this), just vectorized; chunked so the whole
-        131K convolution space fits comfortably in memory.
+        Bit-identical to the scalar simulator path (the batch-engine
+        property tests pin the two executors to each other); chunked so
+        the whole 131K convolution space fits comfortably in memory.
         """
         out = np.empty(indices.shape[0], dtype=np.float64)
         for start in range(0, indices.shape[0], ORACLE_CHUNK):

@@ -8,10 +8,11 @@ Usage::
     python -m repro.experiments.run_all --only fig01,fig14
     python -m repro.experiments.run_all --jobs 4 --oracle-store .oracle
 
-Execution goes through :mod:`repro.experiments.scheduler`: experiments
-decompose into independent units (per-device grids, per-cell tuning runs,
-ground-truth warm-ups), which run inline or on a process pool —
-``--jobs``/``--serial`` — with bit-identical output either way.
+``repro experiments`` takes the same flags.  Execution goes through
+:mod:`repro.experiments.scheduler`: each experiment module declares its
+independent units (per-device grids, per-cell tuning runs), the scheduler
+adds ground-truth warm-ups, and the units run inline or on a process
+pool — ``--jobs``/``--serial`` — with bit-identical output either way.
 ``--oracle-store DIR`` persists ground-truth tables across runs, so the
 expensive full tables are computed once ever (see docs/performance.md).
 """
@@ -22,7 +23,8 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable, Dict, Optional, Tuple
+from types import ModuleType
+from typing import Dict, Optional, Tuple
 
 from repro.experiments import (
     cost_accounting,
@@ -39,74 +41,20 @@ from repro.experiments import (
 from repro.experiments.presets import get_preset
 from repro.obs import NULL_TRACER
 
-#: Experiment registry: id -> (title, run(preset, seed, faults) -> results,
-#: format).  ``faults`` only reaches the experiments that measure through
-#: ``Context``/``Measurer``; oracle-backed ground truth stays fault-free.
-EXPERIMENTS: Dict[str, Tuple[str, Callable, Callable]] = {
-    "tables": (
-        "Tables 1-2: benchmarks and parameter spaces",
-        lambda preset, seed, faults=None: tables.run(),
-        tables.format_text,
-    ),
-    "fig01": (
-        "Figure 1: cross-device slowdowns",
-        lambda preset, seed, faults=None: fig01_motivation.run(seed=seed),
-        fig01_motivation.format_text,
-    ),
-    "fig02": (
-        "Figure 2: network topology",
-        lambda preset, seed, faults=None: fig02_ann.run(),
-        fig02_ann.format_text,
-    ),
-    "fig04-06": (
-        "Figures 4-6: model error vs training size",
-        lambda preset, seed, faults=None: fig04_06_model_error.run(
-            preset=preset, seed=seed, faults=faults
-        ),
-        fig04_06_model_error.format_text,
-    ),
-    "fig07": (
-        "Figure 7: Nvidia generations",
-        lambda preset, seed, faults=None: fig07_nvidia_generations.run(
-            preset=preset, seed=seed, faults=faults
-        ),
-        fig07_nvidia_generations.format_text,
-    ),
-    "fig08-10": (
-        "Figures 8-10: predicted vs actual scatter",
-        lambda preset, seed, faults=None: fig08_10_scatter.run(
-            seed=seed, faults=faults
-        ),
-        fig08_10_scatter.format_text,
-    ),
-    "fig11-13": (
-        "Figures 11-13: tuner slowdown grid",
-        lambda preset, seed, faults=None: fig11_13_autotuner.run(
-            preset=preset, seed=seed
-        ),
-        fig11_13_autotuner.format_text,
-    ),
-    "fig14": (
-        "Figure 14: large spaces",
-        lambda preset, seed, faults=None: fig14_large_spaces.run(
-            preset=preset, seed=seed
-        ),
-        fig14_large_spaces.format_text,
-    ),
-    "cost": (
-        "S6: tuning-cost accounting",
-        lambda preset, seed, faults=None: cost_accounting.run(
-            seed=seed, faults=faults
-        ),
-        cost_accounting.format_text,
-    ),
-    "sec7": (
-        "S7: discussion mechanisms quantified",
-        lambda preset, seed, faults=None: sec7_discussion.run(
-            preset=preset, seed=seed
-        ),
-        sec7_discussion.format_text,
-    ),
+#: Experiment registry: id -> (title, module).  Each module declares its
+#: ``units(p, seed, faults=None)`` and ``merge(p, results)`` for the
+#: scheduler, and ``format_text(results)``.
+EXPERIMENTS: Dict[str, Tuple[str, ModuleType]] = {
+    "tables": ("Tables 1-2: benchmarks and parameter spaces", tables),
+    "fig01": ("Figure 1: cross-device slowdowns", fig01_motivation),
+    "fig02": ("Figure 2: network topology", fig02_ann),
+    "fig04-06": ("Figures 4-6: model error vs training size", fig04_06_model_error),
+    "fig07": ("Figure 7: Nvidia generations", fig07_nvidia_generations),
+    "fig08-10": ("Figures 8-10: predicted vs actual scatter", fig08_10_scatter),
+    "fig11-13": ("Figures 11-13: tuner slowdown grid", fig11_13_autotuner),
+    "fig14": ("Figure 14: large spaces", fig14_large_spaces),
+    "cost": ("S6: tuning-cost accounting", cost_accounting),
+    "sec7": ("S7: discussion mechanisms quantified", sec7_discussion),
 }
 
 
@@ -131,9 +79,9 @@ def run_all(
     ``oracle_store`` (a directory path or :class:`OracleStore`) persists
     ground-truth tables across runs and processes.  ``tracer`` receives
     per-unit spans, per-experiment wall gauges and oracle-store counters.
-    ``faults`` (a fault-profile spec, e.g. ``"flaky-gpu"``) is stamped
-    onto every runtime-backed unit so the measurement paths exercise the
-    resilient pipeline; oracle-backed ground truth ignores it.
+    ``faults`` (a fault-profile spec, e.g. ``"flaky-gpu"``) reaches the
+    units that measure through ``Context``/``Measurer``, so those paths
+    exercise the resilient pipeline; oracle-backed ground truth ignores it.
     """
     from repro.experiments.scheduler import (
         build_plan,
@@ -165,7 +113,7 @@ def run_all(
     t0 = time.perf_counter()
     with tracer.span("run_all", preset=p.name, units=len(units), jobs=jobs or 1):
         outcomes = execute_plan(
-            units, p, seed, jobs=jobs, store=oracle_store, tracer=tracer,
+            units, jobs=jobs, store=oracle_store, tracer=tracer,
             progress=sys.stderr,
         )
     total_wall = time.perf_counter() - t0
@@ -175,10 +123,10 @@ def run_all(
         unit_walls[u.exp_id] = unit_walls.get(u.exp_id, 0.0) + outcomes[u.uid].wall_s
 
     rendered = {}
-    for exp_id, (title, _run_fn, fmt_fn) in EXPERIMENTS.items():
+    for exp_id, (title, module) in EXPERIMENTS.items():
         if exp_id not in wanted:
             continue
-        text = fmt_fn(merge_results(exp_id, outcomes, p))
+        text = module.format_text(merge_results(exp_id, outcomes, p, units))
         rendered[exp_id] = text
         wall = unit_walls.get(exp_id, 0.0)
         tracer.gauge(f"runall.{exp_id}.wall_s", round(wall, 6))
@@ -217,8 +165,10 @@ def write_experiments_md(path: str, rendered: Dict[str, str], preset_name: str) 
         fh.write("\n".join(parts))
 
 
-def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
+def flags() -> argparse.ArgumentParser:
+    """The harness's flags as a parent parser, shared by
+    ``python -m repro.experiments.run_all`` and ``repro experiments``."""
+    ap = argparse.ArgumentParser(add_help=False)
     ap.add_argument("--preset", default=None, help="fast (default) or full")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--only", default=None, help="comma-separated experiment ids")
@@ -240,7 +190,11 @@ def main(argv=None) -> None:
     ap.add_argument("--trace", default=None,
                     help="write a JSONL trace of the run (per-unit spans, "
                          "per-experiment timings; see 'repro trace-summary')")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def run_args(args: argparse.Namespace) -> int:
+    """Run the harness for parsed :func:`flags`; returns exit status 0."""
     only = args.only.split(",") if args.only else None
     p = get_preset(args.preset)
     jobs = 1 if args.serial else args.jobs
@@ -270,6 +224,12 @@ def main(argv=None) -> None:
     if args.out:
         write_experiments_md(args.out, rendered, p.name)
         print(f"[run_all] wrote {args.out}", file=sys.stderr)
+    return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, parents=[flags()])
+    return run_args(ap.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -2,76 +2,71 @@
 
 The paper's evaluation is a grid of independent computations — per-device
 tuner grids (Figs. 11-13), per-(benchmark, device) large-space cells
-(Fig. 14), per-device error curves (Figs. 4-7) — that the harness used to
-run strictly serially inside each experiment's ``run()``.  This module
-turns the grid inside out:
+(Fig. 14), per-device error curves (Figs. 4-7).  Each experiment module
+declares that grid once, as ``units(p, seed, faults=None)`` — a list of
+:class:`Unit` calls of its own module-level functions — plus
+``merge(p, results)``, which turns the unit results (in plan order) into
+the dict its ``run()`` returns; a multi-unit module's ``run()`` is
+``merge(p, run_units(units(...)))``, and a single-unit module's ``run`` is
+its unit.  This module holds only the generic parts:
 
-* :func:`build_plan` flattens the requested experiments into
-  :class:`Unit` objects — picklable (kind, payload) pairs plus explicit
-  dependencies.  Ground-truth warm-up (computing a device's full
-  convolution table into the shared
-  :class:`~repro.experiments.oracle_store.OracleStore`) is its own unit,
-  a prerequisite of every unit that reads the table, so each table is
-  computed exactly once per store lifetime no matter how many
-  experiments need it.
+* :func:`build_plan` asks each requested experiment for its units and
+  adds ground-truth warm-ups: one unit per (kernel, device) full table a
+  unit lists in ``tables``, computed into the shared
+  :class:`~repro.experiments.oracle_store.OracleStore` before anything
+  reads it, so each table is computed exactly once per store lifetime no
+  matter how many experiments need it.
 * :func:`execute_plan` runs the units — inline (``jobs <= 1``) against
   one shared :class:`~repro.experiments.oracle_store.OracleProvider`, or
   on a :class:`~concurrent.futures.ProcessPoolExecutor` using the
   campaign-grid worker pattern: a module-level worker function, per-worker
   JSONL traces merged back into the parent tracer tagged with the unit id,
   and store hit/miss counters summed across workers.
-* :func:`merge_results` reassembles per-unit results into exactly the
-  dict each experiment's ``run()`` returns.  Every unit seeds its own
-  generators from the explicit (seed, unit) recipe the experiments already
-  use, so the merged output — and hence the rendered text — is
-  bit-identical between serial and parallel execution by construction.
+* :func:`merge_results` hands an experiment its unit results in plan
+  order.  Every unit seeds its own generators from its arguments, so the
+  merged output — and hence the rendered text — is bit-identical between
+  serial and parallel execution by construction.
 """
 
 from __future__ import annotations
 
+import inspect
 import shutil
 import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.experiments import (
-    fig01_motivation,
-    fig04_06_model_error,
-    fig07_nvidia_generations,
-    fig08_10_scatter,
-    fig11_13_autotuner,
-    fig14_large_spaces,
-    sec7_discussion,
-)
 from repro.experiments.oracle_store import OracleProvider, OracleStore
 from repro.experiments.presets import Preset
-from repro.kernels import BENCHMARKS, get_benchmark
+from repro.kernels import get_benchmark
 from repro.obs import NULL_TRACER, Tracer, run_manifest
-from repro.simulator.devices import DEVICES, MAIN_DEVICES
+from repro.simulator.devices import DEVICES
 
 
 @dataclass(frozen=True)
 class Unit:
-    """One independently runnable piece of an experiment.
+    """One independently runnable piece of an experiment: ``fn(**kwargs)``.
 
-    ``payload`` must be picklable (it crosses the process boundary);
-    ``deps`` are uids that must complete first (only meaningful when the
-    units share state through an oracle store or an in-process provider).
+    ``fn`` is module-level, so a unit pickles by reference and crosses
+    the process boundary; a ``fn`` with an ``oracles`` parameter also gets
+    the run's shared :class:`OracleProvider`.  ``tables`` lists the
+    (kernel, device) full ground-truth tables the unit reads;
+    :func:`build_plan` turns them into warm-up ``deps`` (uids that must
+    complete first).  The experiment id is ``uid`` up to its first ``/``.
     """
 
     uid: str
-    exp_id: str
-    kind: str
-    payload: tuple
+    fn: Callable
+    kwargs: Mapping[str, Any] = field(default_factory=dict)
+    tables: Tuple[Tuple[str, str], ...] = ()
     deps: Tuple[str, ...] = ()
-    #: Fault-profile spec string applied to runtime-backed units (the ones
-    #: that measure through ``Context``/``Measurer``).  Oracle-backed
-    #: ground-truth units ignore it: the oracle is evaluation machinery and
-    #: must stay noise- and fault-free.  None (default) = fault-free.
-    faults: Optional[str] = None
+
+    @property
+    def exp_id(self) -> str:
+        return self.uid.split("/", 1)[0]
 
 
 @dataclass(frozen=True)
@@ -81,113 +76,22 @@ class UnitOutcome:
     wall_s: float
 
 
-# -- unit runners --------------------------------------------------------------
-#
-# Every runner is a module-level function of (payload, preset, seed,
-# provider) so the worker process can resolve it from UNIT_RUNNERS by
-# kind.  Runners must reproduce *exactly* the computation the experiment's
-# own run() performs for that slice, including rng seeding.
+def warm_table(kernel: str, device_key: str, oracles: OracleProvider) -> None:
+    """Compute one full ground-truth table into the shared provider."""
+    oracles.oracle(get_benchmark(kernel), DEVICES[device_key]).full_table()
 
 
-def _run_warmup(payload, p: Preset, seed: int, provider: OracleProvider, faults=None):
-    kernel, device_key = payload
-    provider.oracle(get_benchmark(kernel), DEVICES[device_key]).full_table()
-    return None
+def _call(u: Unit, provider: OracleProvider):
+    kwargs = dict(u.kwargs)
+    if "oracles" in inspect.signature(u.fn).parameters:
+        kwargs["oracles"] = provider
+    return u.fn(**kwargs)
 
 
-def _run_fig01(payload, p: Preset, seed: int, provider: OracleProvider, faults=None):
-    (devices,) = payload
-    return fig01_motivation.run(devices=devices, seed=seed, oracles=provider)
-
-
-def _run_fig11_grid(payload, p: Preset, seed: int, provider: OracleProvider, faults=None):
-    (device,) = payload
-    return fig11_13_autotuner.tuner_grid_for_device(
-        device,
-        p.tuner_sizes,
-        p.tuner_m,
-        repeats=max(p.repeats, 2),
-        seed=seed,
-        oracles=provider,
-    )
-
-
-def _run_fig14_cell(payload, p: Preset, seed: int, provider: OracleProvider, faults=None):
-    benchmark, device = payload
-    return fig14_large_spaces.tune_large_space(
-        benchmark,
-        device,
-        n_train=p.fig14_train,
-        m_candidates=p.fig14_m,
-        random_budget=p.fig14_random_budget,
-        seed=seed,
-        oracles=provider,
-    )
-
-
-def _run_fig0406_curve(payload, p: Preset, seed: int, provider: OracleProvider, faults=None):
-    device, benchmark = payload
-    return fig04_06_model_error.error_curve(
-        benchmark, device, p.training_sizes, p.holdout, repeats=p.repeats,
-        seed=seed, faults=faults,
-    )
-
-
-def _run_fig07_curve(payload, p: Preset, seed: int, provider: OracleProvider, faults=None):
-    (device,) = payload
-    return fig04_06_model_error.error_curve(
-        "convolution", device, p.training_sizes, p.holdout,
-        repeats=p.repeats, seed=seed, faults=faults,
-    )
-
-
-def _run_fig0810_scatter(payload, p: Preset, seed: int, provider: OracleProvider, faults=None):
-    (device,) = payload
-    return fig08_10_scatter.scatter_for_device(device, seed=seed, faults=faults)
-
-
-def _run_sec7_sensitivity(payload, p: Preset, seed: int, provider: OracleProvider, faults=None):
-    (device,) = payload
-    return sec7_discussion.memory_sensitivity_for_device(
-        device, seed=seed, n_base=p.sec7_n_base, oracles=provider
-    )
-
-
-def _run_sec7_amd(payload, p: Preset, seed: int, provider: OracleProvider, faults=None):
-    (benchmark,) = payload
-    return sec7_discussion.amd_unroll_error(
-        benchmark, seed=seed, n_train=p.sec7_n_train, holdout=p.sec7_holdout
-    )
-
-
-def _run_sec7_invalid(payload, p: Preset, seed: int, provider: OracleProvider, faults=None):
-    return sec7_discussion.invalid_fraction_by_device(
-        seed=seed, n=p.sec7_invalid_n, oracles=provider
-    )
-
-
-def _run_experiment(payload, p: Preset, seed: int, provider: OracleProvider, faults=None):
-    """Fallback for experiments that run as a single unit."""
-    from repro.experiments.run_all import EXPERIMENTS
-
-    (exp_id,) = payload
-    _, run_fn, _ = EXPERIMENTS[exp_id]
-    return run_fn(p, seed, faults)
-
-
-UNIT_RUNNERS: Dict[str, Callable] = {
-    "warmup": _run_warmup,
-    "fig01": _run_fig01,
-    "fig11-grid": _run_fig11_grid,
-    "fig14-cell": _run_fig14_cell,
-    "fig04-06-curve": _run_fig0406_curve,
-    "fig07-curve": _run_fig07_curve,
-    "fig08-10-scatter": _run_fig0810_scatter,
-    "sec7-sensitivity": _run_sec7_sensitivity,
-    "sec7-amd": _run_sec7_amd,
-    "sec7-invalid": _run_sec7_invalid,
-    "experiment": _run_experiment,
-}
+def run_units(units: Sequence[Unit], oracles: Optional[OracleProvider] = None) -> list:
+    """Results of ``units`` run inline, in order, against one provider."""
+    provider = oracles if oracles is not None else OracleProvider()
+    return [_call(u, provider) for u in units]
 
 
 # -- planning ------------------------------------------------------------------
@@ -199,154 +103,49 @@ def build_plan(
 ) -> List[Unit]:
     """Units (in a valid topological order) for the requested experiments.
 
-    ``warmup`` inserts explicit full-table units as prerequisites of the
-    table readers; pass False when units cannot share tables (parallel
+    ``warmup`` inserts a full-table unit ahead of the first unit that
+    lists the table; pass False when units cannot share tables (parallel
     execution without a store), where a warm-up would just be discarded
-    work in a throwaway process.
-
-    ``faults`` (a profile spec string, e.g. ``"flaky-gpu"``) is stamped on
-    every unit and applied by the runtime-backed runners; it used to be
-    silently dropped here — ``--faults`` existed only on ``tune`` and
-    ``campaign``, so scheduled experiment campaigns always ran fault-free
-    no matter what the user configured.
+    work in a throwaway process.  ``faults`` (a profile spec string, e.g.
+    ``"flaky-gpu"``) goes to each experiment's ``units``, which passes it
+    to the units that measure through ``Context``/``Measurer``; warm-ups
+    build ground truth and never see it.
     """
     from repro.experiments.run_all import EXPERIMENTS
 
     units: List[Unit] = []
-    warmed: Dict[str, Unit] = {}
-
-    def warm(kernel: str, device: str) -> Tuple[str, ...]:
-        if not warmup:
-            return ()
-        uid = f"warmup/{kernel}@{device}"
-        if uid not in warmed:
-            # Warm-ups build ground truth: never fault-injected.
-            warmed[uid] = Unit(uid, "warmup", "warmup", (kernel, device))
-            units.append(warmed[uid])
-        return (uid,)
-
-    for exp_id in EXPERIMENTS:
+    warmed = set()
+    for exp_id, (_, module) in EXPERIMENTS.items():
         if exp_id not in wanted:
             continue
-        if exp_id == "fig01":
-            deps = sum((warm("convolution", d) for d in MAIN_DEVICES), ())
-            units.append(
-                Unit("fig01/matrix", exp_id, "fig01", (tuple(MAIN_DEVICES),), deps)
-            )
-        elif exp_id == "fig11-13":
-            for d in MAIN_DEVICES:
-                units.append(
-                    Unit(f"fig11-13/{d}", exp_id, "fig11-grid", (d,),
-                         warm("convolution", d))
-                )
-        elif exp_id == "fig14":
-            for b in fig14_large_spaces.BENCHMARKS:
-                for d in MAIN_DEVICES:
-                    units.append(Unit(f"fig14/{b}@{d}", exp_id, "fig14-cell", (b, d)))
-        elif exp_id == "fig04-06":
-            for d in MAIN_DEVICES:
-                for b in BENCHMARKS:
-                    units.append(
-                        Unit(f"fig04-06/{b}@{d}", exp_id, "fig04-06-curve", (d, b))
-                    )
-        elif exp_id == "fig07":
-            for d in fig07_nvidia_generations.NVIDIA_GENERATIONS:
-                units.append(Unit(f"fig07/{d}", exp_id, "fig07-curve", (d,)))
-        elif exp_id == "fig08-10":
-            for d in MAIN_DEVICES:
-                units.append(Unit(f"fig08-10/{d}", exp_id, "fig08-10-scatter", (d,)))
-        elif exp_id == "sec7":
-            for d in sec7_discussion.SENSITIVITY_DEVICES:
-                units.append(
-                    Unit(f"sec7/sensitivity@{d}", exp_id, "sec7-sensitivity", (d,))
-                )
-            for b in sec7_discussion.UNROLL_BENCHMARKS:
-                units.append(Unit(f"sec7/amd@{b}", exp_id, "sec7-amd", (b,)))
-            units.append(Unit("sec7/invalid", exp_id, "sec7-invalid", ()))
-        else:
-            units.append(Unit(f"{exp_id}", exp_id, "experiment", (exp_id,)))
-    if faults:
-        units = [
-            u if u.kind == "warmup" else replace(u, faults=faults)
-            for u in units
-        ]
+        for u in module.units(p, seed, faults):
+            deps = ()
+            if warmup:
+                for kernel, device in u.tables:
+                    uid = f"warmup/{kernel}@{device}"
+                    if uid not in warmed:
+                        warmed.add(uid)
+                        units.append(Unit(uid, warm_table, dict(
+                            kernel=kernel, device_key=device)))
+                    deps += (uid,)
+            units.append(replace(u, deps=deps))
     return units
 
 
-# -- result merging ------------------------------------------------------------
-
-
 def merge_results(
-    exp_id: str, outcomes: Dict[str, UnitOutcome], p: Preset
+    experiment: str, outcomes: Dict[str, UnitOutcome], p: Preset,
+    units: Sequence[Unit],
 ) -> object:
-    """Reassemble one experiment's ``run()`` dict from its unit results.
+    """One experiment's ``run()`` dict from its unit results.
 
-    Pure bookkeeping over the uid-keyed outcome map — independent of unit
-    completion order, which is what makes parallel output bit-identical to
-    serial.
+    The module's ``merge`` gets the results in plan order, so unit
+    completion order cannot change the output.
     """
-    def part(uid: str):
-        return outcomes[uid].result
+    from repro.experiments.run_all import EXPERIMENTS
 
-    if exp_id == "fig01":
-        return part("fig01/matrix")
-    if exp_id == "fig11-13":
-        return {
-            "preset": p.name,
-            "devices": tuple(MAIN_DEVICES),
-            "grids": {d: part(f"fig11-13/{d}") for d in MAIN_DEVICES},
-        }
-    if exp_id == "fig14":
-        return {
-            "preset": p.name,
-            "devices": tuple(MAIN_DEVICES),
-            "benchmarks": fig14_large_spaces.BENCHMARKS,
-            "cells": {
-                (b, d): part(f"fig14/{b}@{d}")
-                for b in fig14_large_spaces.BENCHMARKS
-                for d in MAIN_DEVICES
-            },
-        }
-    if exp_id == "fig04-06":
-        return {
-            "preset": p.name,
-            "sizes": p.training_sizes,
-            "curves": {
-                (d, b): part(f"fig04-06/{b}@{d}")
-                for d in MAIN_DEVICES
-                for b in BENCHMARKS
-            },
-            "devices": tuple(MAIN_DEVICES),
-            "benchmarks": tuple(BENCHMARKS),
-        }
-    if exp_id == "fig07":
-        return {
-            "preset": p.name,
-            "sizes": p.training_sizes,
-            "curves": {
-                d: part(f"fig07/{d}")
-                for d in fig07_nvidia_generations.NVIDIA_GENERATIONS
-            },
-        }
-    if exp_id == "fig08-10":
-        return {
-            "devices": tuple(MAIN_DEVICES),
-            "scatter": {d: part(f"fig08-10/{d}") for d in MAIN_DEVICES},
-        }
-    if exp_id == "sec7":
-        return {
-            "amd_n_train": p.sec7_n_train,
-            "sensitivity": {
-                d: part(f"sec7/sensitivity@{d}")
-                for d in sec7_discussion.SENSITIVITY_DEVICES
-            },
-            "amd_errors": {
-                b: part(f"sec7/amd@{b}")
-                for b in sec7_discussion.UNROLL_BENCHMARKS
-            },
-            "invalid": part("sec7/invalid"),
-        }
-    return part(exp_id)
+    results = [outcomes[u.uid].result for u in units
+               if experiment == u.exp_id]
+    return EXPERIMENTS[experiment][1].merge(p, results)
 
 
 # -- execution -----------------------------------------------------------------
@@ -368,31 +167,28 @@ def _run_unit_worker(args) -> tuple:
     sums into the parent tracer — so fleet-wide hit/miss totals survive the
     process boundary.
     """
-    unit_tuple, preset, seed, store_root, trace_path = args
-    uid, exp_id, kind, payload, faults = unit_tuple
+    unit, store_root, trace_path = args
     provider = OracleProvider(OracleStore(store_root) if store_root else None)
     if trace_path:
         tracer = Tracer(
             trace_path,
-            manifest=run_manifest(unit=uid, experiment=exp_id, seed=seed),
+            manifest=run_manifest(unit=unit.uid, experiment=unit.exp_id),
         )
     else:
         tracer = NULL_TRACER
     t0 = time.perf_counter()
     try:
-        with tracer.span(f"unit:{uid}", kind=kind, experiment=exp_id):
-            result = UNIT_RUNNERS[kind](payload, preset, seed, provider, faults)
+        with tracer.span(f"unit:{unit.uid}", experiment=unit.exp_id):
+            result = _call(unit, provider)
         provider.flush()
     finally:
         _record_store_stats(tracer, provider.stats_snapshot())
         tracer.close()
-    return uid, result, time.perf_counter() - t0
+    return unit.uid, result, time.perf_counter() - t0
 
 
 def execute_plan(
     units: Sequence[Unit],
-    p: Preset,
-    seed: int,
     jobs: Optional[int] = None,
     store=None,
     tracer=NULL_TRACER,
@@ -425,8 +221,8 @@ def execute_plan(
         provider = OracleProvider(store)
         for u in units:  # build_plan order is topological
             t0 = time.perf_counter()
-            with tracer.span(f"unit:{u.uid}", kind=u.kind, experiment=u.exp_id):
-                result = UNIT_RUNNERS[u.kind](u.payload, p, seed, provider, u.faults)
+            with tracer.span(f"unit:{u.uid}", experiment=u.exp_id):
+                result = _call(u, provider)
             # Persist partial tables eagerly so a crash loses one unit of
             # work at most, and later processes start warm.
             provider.flush()
@@ -439,22 +235,12 @@ def execute_plan(
     tmpdir = Path(tempfile.mkdtemp(prefix="repro-runall-"))
     trace_paths: Dict[str, str] = {}
     try:
-        args_by_uid = {}
-        for u in units:
-            trace_path = (
-                str(tmpdir / f"{u.uid.replace('/', '_')}.trace.jsonl")
-                if tracer.enabled
-                else None
-            )
-            if trace_path:
-                trace_paths[u.uid] = trace_path
-            args_by_uid[u.uid] = (
-                (u.uid, u.exp_id, u.kind, u.payload, u.faults),
-                p,
-                seed,
-                str(store.root) if store is not None else None,
-                trace_path,
-            )
+        store_root = str(store.root) if store is not None else None
+        if tracer.enabled:
+            for u in units:
+                trace_paths[u.uid] = str(
+                    tmpdir / f"{u.uid.replace('/', '_')}.trace.jsonl"
+                )
 
         pending: List[Unit] = list(units)
         in_flight = {}
@@ -463,7 +249,10 @@ def execute_plan(
                 for u in list(pending):
                     if all(d in outcomes for d in u.deps):
                         pending.remove(u)
-                        fut = pool.submit(_run_unit_worker, args_by_uid[u.uid])
+                        fut = pool.submit(
+                            _run_unit_worker,
+                            (u, store_root, trace_paths.get(u.uid)),
+                        )
                         in_flight[fut] = u
                 if not in_flight:
                     stuck = [u.uid for u in pending]

@@ -26,6 +26,7 @@ from repro.experiments.fig04_06_model_error import error_curve
 from repro.experiments.oracle_store import OracleProvider
 from repro.experiments.presets import get_preset
 from repro.experiments.reporting import header, pct, table
+from repro.experiments.scheduler import Unit, run_units
 from repro.kernels import ConvolutionKernel
 from repro.simulator.devices import DEVICES
 
@@ -45,26 +46,6 @@ def memory_sensitivity_for_device(
     oracle = provider.oracle(spec, DEVICES[key])
     rng = np.random.default_rng(seed)
     return parameter_sensitivity(oracle.times_for, spec.space, rng, n_base=n_base)
-
-
-def memory_sensitivity_by_device(
-    seed: int = 0, n_base: int = 120, oracles: Optional[OracleProvider] = None
-) -> Dict:
-    return {
-        key: memory_sensitivity_for_device(
-            key, seed=seed, n_base=n_base, oracles=oracles
-        )
-        for key in SENSITIVITY_DEVICES
-    }
-
-
-def amd_unroll_gap(seed: int = 0, n_train: int = 2000, holdout: int = 300) -> Dict:
-    errors = {}
-    for benchmark in UNROLL_BENCHMARKS:
-        errors[benchmark] = amd_unroll_error(
-            benchmark, seed=seed, n_train=n_train, holdout=holdout
-        )
-    return errors
 
 
 def amd_unroll_error(
@@ -94,20 +75,33 @@ def invalid_fraction_by_device(
     return out
 
 
-def run(preset=None, seed: int = 0, oracles: Optional[OracleProvider] = None) -> Dict:
-    p = get_preset(preset)
+def units(p, seed: int, faults=None) -> list:
+    return [
+        *(Unit(f"sec7/sensitivity@{d}", memory_sensitivity_for_device,
+               dict(key=d, seed=seed, n_base=p.sec7_n_base))
+          for d in SENSITIVITY_DEVICES),
+        *(Unit(f"sec7/amd@{b}", amd_unroll_error,
+               dict(benchmark=b, seed=seed, n_train=p.sec7_n_train,
+                    holdout=p.sec7_holdout))
+          for b in UNROLL_BENCHMARKS),
+        Unit("sec7/invalid", invalid_fraction_by_device,
+             dict(seed=seed, n=p.sec7_invalid_n)),
+    ]
+
+
+def merge(p, results: list) -> Dict:
+    n = len(SENSITIVITY_DEVICES)
     return {
         "amd_n_train": p.sec7_n_train,
-        "sensitivity": memory_sensitivity_by_device(
-            seed=seed, n_base=p.sec7_n_base, oracles=oracles
-        ),
-        "amd_errors": amd_unroll_gap(
-            seed=seed, n_train=p.sec7_n_train, holdout=p.sec7_holdout
-        ),
-        "invalid": invalid_fraction_by_device(
-            seed=seed, n=p.sec7_invalid_n, oracles=oracles
-        ),
+        "sensitivity": dict(zip(SENSITIVITY_DEVICES, results[:n])),
+        "amd_errors": dict(zip(UNROLL_BENCHMARKS, results[n:-1])),
+        "invalid": results[-1],
     }
+
+
+def run(preset=None, seed: int = 0, oracles: Optional[OracleProvider] = None) -> Dict:
+    p = get_preset(preset)
+    return merge(p, run_units(units(p, seed), oracles))
 
 
 def format_text(results: Dict) -> str:

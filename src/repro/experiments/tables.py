@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.experiments.reporting import header, table
+from repro.experiments.scheduler import Unit
 from repro.kernels import BENCHMARKS, get_benchmark
 
 #: Table 1 wording.
@@ -39,6 +40,14 @@ def run() -> Dict:
             ],
         }
     return out
+
+
+def units(p, seed: int, faults=None) -> list:
+    return [Unit("tables", run)]
+
+
+def merge(p, results: list) -> Dict:
+    return results[0]
 
 
 def format_text(results: Dict) -> str:

@@ -164,12 +164,12 @@ class TuningClient:
         self,
         kernel: str,
         device: str,
-        n_train: int = 400,
-        m_candidates: int = 40,
-        seed: int = 0,
-        steps: int = 120,
-        interval_s: float = 30.0,
-        retune_window: int = 32,
+        n_train: Optional[int] = None,
+        m_candidates: Optional[int] = None,
+        seed: Optional[int] = None,
+        steps: Optional[int] = None,
+        interval_s: Optional[float] = None,
+        retune_window: Optional[int] = None,
         drift: Optional[str] = None,
         faults: Optional[str] = None,
         stream: bool = True,
@@ -178,9 +178,11 @@ class TuningClient:
     ) -> Dict[str, Any]:
         """Run one online campaign; blocks until the terminal ``result``.
 
-        Streamed ``event`` lines (drift alarms, re-tunes, spans) are
-        passed to ``on_event`` as they arrive.  Raises
-        :class:`ServerRejected` on admission refusal.
+        Fields left ``None`` take the daemon's
+        :data:`~repro.serve.protocol.WATCH_DEFAULTS`.  Streamed ``event``
+        lines (drift alarms, re-tunes, spans) are passed to ``on_event``
+        as they arrive.  Raises :class:`ServerRejected` on admission
+        refusal.
         """
         self.send(
             {
@@ -347,13 +349,14 @@ def main(argv=None) -> int:
     )
     watch.add_argument("-k", "--kernel", required=True)
     watch.add_argument("-d", "--device", required=True)
-    watch.add_argument("-n", "--n-train", type=int, default=400)
-    watch.add_argument("-m", "--m-candidates", type=int, default=40)
-    watch.add_argument("--seed", type=int, default=0)
-    watch.add_argument("--steps", type=int, default=120)
-    watch.add_argument("--interval", type=float, default=30.0,
+    # Unset flags are sent as None and take the daemon's WATCH_DEFAULTS.
+    watch.add_argument("-n", "--n-train", type=int)
+    watch.add_argument("-m", "--m-candidates", type=int)
+    watch.add_argument("--seed", type=int)
+    watch.add_argument("--steps", type=int)
+    watch.add_argument("--interval", type=float,
                        help="simulated seconds between monitoring probes")
-    watch.add_argument("--retune-window", type=int, default=32)
+    watch.add_argument("--retune-window", type=int)
     watch.add_argument("--drift", default=None,
                        help="drift profile spec (e.g. thermal-throttle)")
     watch.add_argument("--faults", default=None)

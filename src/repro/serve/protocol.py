@@ -68,7 +68,8 @@ TUNE_DEFAULTS: Dict[str, Any] = {
     "stream": False,
 }
 
-#: Defaults applied to ``watch`` requests (mirrors ``repro watch`` CLI).
+#: Defaults applied to ``watch`` requests, and to ``repro watch`` flags
+#: left unset (the CLI builds its request through :func:`validate_watch`).
 #: Smaller tune stage than TUNE_DEFAULTS: a watch spends its budget over
 #: the whole monitoring horizon, not all up front.
 WATCH_DEFAULTS: Dict[str, Any] = {

@@ -173,9 +173,9 @@ class JitterTable:
 # ``(k, (1, 2))`` and ``(k, 1, 2)`` cannot collide.
 
 _MASK64 = (1 << 64) - 1
-_SM_GAMMA = 0x9E3779B97F4A7C15
-_SM_MIX_A = 0xBF58476D1CE4E5B9
-_SM_MIX_B = 0x94D049BB133111EB
+SM_GAMMA = 0x9E3779B97F4A7C15
+SM_MIX_A = 0xBF58476D1CE4E5B9
+SM_MIX_B = 0x94D049BB133111EB
 #: Distinct salts so uniform and normal variates of one key never share bits.
 _SALT_UNIFORM = 0xD6E8FEB86659FD93
 _SALT_N1 = 0xA5A3_564D_9F4C_11E3
@@ -190,28 +190,28 @@ _U64 = np.uint64
 def splitmix64_py(z: int) -> int:
     """splitmix64 finalizer on one Python int (modulo 2**64)."""
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * _SM_MIX_A) & _MASK64
-    z = ((z ^ (z >> 27)) * _SM_MIX_B) & _MASK64
+    z = ((z ^ (z >> 30)) * SM_MIX_A) & _MASK64
+    z = ((z ^ (z >> 27)) * SM_MIX_B) & _MASK64
     return z ^ (z >> 31)
 
 
 def splitmix64(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over a uint64 array (bit-equal to the scalar)."""
-    z = (z ^ (z >> _U64(30))) * _U64(_SM_MIX_A)
-    z = (z ^ (z >> _U64(27))) * _U64(_SM_MIX_B)
+    z = (z ^ (z >> _U64(30))) * _U64(SM_MIX_A)
+    z = (z ^ (z >> _U64(27))) * _U64(SM_MIX_B)
     return z ^ (z >> _U64(31))
 
 
 def fold64(h: int, v: int) -> int:
     """Fold one 64-bit value into a running key (scalar)."""
-    return splitmix64_py(h ^ ((v + _SM_GAMMA) & _MASK64))
+    return splitmix64_py(h ^ ((v + SM_GAMMA) & _MASK64))
 
 
 def fold64_many(h, v: np.ndarray) -> np.ndarray:
     """Vector :func:`fold64`: ``h`` scalar-or-array, ``v`` a uint64 array."""
     if not isinstance(h, np.ndarray):
         h = _U64(h & _MASK64)
-    return splitmix64(h ^ (v + _U64(_SM_GAMMA)))
+    return splitmix64(h ^ (v + _U64(SM_GAMMA)))
 
 
 def part64(p) -> int:
@@ -275,7 +275,8 @@ def pair_key_prefix64(first) -> int:
     return fold64(fold64(_TUPLE_SEED, 2), part64(first))
 
 
-def _unit_open_of(h: np.ndarray) -> np.ndarray:
+def unit_open(h: np.ndarray) -> np.ndarray:
+    """uint64 hashes -> float64 uniforms on the *open* interval (0, 1)."""
     return ((h >> _U64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
 
 
@@ -286,7 +287,7 @@ def keyed_uniform(h: int) -> float:
 
 def keyed_uniform_many(h: np.ndarray) -> np.ndarray:
     """Vector :func:`keyed_uniform`, bit-equal per lane."""
-    return _unit_open_of(splitmix64(h ^ _U64(_SALT_UNIFORM)))
+    return unit_open(splitmix64(h ^ _U64(_SALT_UNIFORM)))
 
 
 def keyed_normal(h: int) -> float:
@@ -305,8 +306,8 @@ def keyed_normal(h: int) -> float:
 
 def keyed_normal_many(h: np.ndarray) -> np.ndarray:
     """Vector :func:`keyed_normal`, bit-equal per lane."""
-    u1 = _unit_open_of(splitmix64(h ^ _U64(_SALT_N1)))
-    u2 = _unit_open_of(splitmix64(h ^ _U64(_SALT_N2)))
+    u1 = unit_open(splitmix64(h ^ _U64(_SALT_N1)))
+    u2 = unit_open(splitmix64(h ^ _U64(_SALT_N2)))
     z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
     return np.clip(z, -4.0, 4.0)
 

@@ -143,12 +143,30 @@ class TestBadInputExitsWithOneLine:
         assert str(exc.value.code).startswith(prefix)
 
 
+def test_watch_defaults_are_the_daemons():
+    """Unset ``repro watch`` flags take the daemon's WATCH_DEFAULTS."""
+    from repro.cli import _watch_request
+    from repro.serve.campaigns import watch_request
+    from repro.serve.protocol import validate_watch
+
+    argv = ["watch", "-k", "convolution", "-d", "nvidia"]
+    daemon = watch_request(validate_watch(
+        {"kernel": "convolution", "device": "nvidia"}
+    ))
+    assert _watch_request(build_parser().parse_args(argv)) == daemon
+
+
 class TestExperimentsSubcommand:
     def test_experiments_only_tables(self, capsys):
         rc = main(["experiments", "--only", "tables"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "131072" in out
+
+    def test_experiments_takes_run_alls_flags(self, capsys):
+        rc = main(["experiments", "--only", "tables", "--seed", "3"])
+        assert rc == 0
+        assert "Table 1" in capsys.readouterr().out
 
     def test_experiments_writes_report(self, tmp_path, capsys):
         out_path = tmp_path / "report.md"

@@ -105,6 +105,9 @@ class TestSec7Micro:
         assert all(0 <= v <= 1 for v in inv.values())
 
     def test_memory_sensitivity_structure(self):
-        sens = sec7.memory_sensitivity_by_device(seed=0, n_base=10)
+        sens = {
+            d: sec7.memory_sensitivity_for_device(d, seed=0, n_base=10)
+            for d in sec7.SENSITIVITY_DEVICES
+        }
         assert set(sens) == {"intel", "nvidia", "amd"}
         assert "use_image" in sens["intel"]
