@@ -14,8 +14,8 @@ global-stop loop, kept as the reference baseline):
   (``freeze_patience=inf``) the adaptive loop is bit-identical to
   classic, so the end-to-end tuner pick must not move: 20 seeded tunes
   per engine, 20/20 identical picks (the same acceptance pattern the
-  fused sweep engine shipped under in
-  ``test_perf_predict_sweep.py::test_tuner_pick_unchanged_by_engine``).
+  sweep engine is held to in ``tests/test_sweep.py::TestGemmForwardPass::
+  test_tuner_pick_unchanged_by_engine``).
 * **warm-restart convergence** — a warm refit must spend fewer epochs
   than the cold fits it replaces (deterministic, wall-noise-free).
 

@@ -11,9 +11,11 @@ Wraps the paper's learning recipe (§5.2):
   this issue by simply ignoring these configurations").
 
 Predictions of the default bagged-ANN ensemble go through the compiled
-:class:`~repro.core.sweep.PredictionSweeper`; custom model families have
-no weights to fold and use :meth:`predict_indices_reference`, which is
-also the parity baseline of the sweep.
+:class:`~repro.core.sweep.PredictionSweeper`, whose digit tables replace
+the ensemble's GEMMs.  :meth:`predict_indices_reference` is the sweep's
+parity baseline: the same tables, one thread, a per-member epilogue.
+Custom model families have no weights to fold; the reference encodes
+and calls their own ``predict``.
 """
 
 from __future__ import annotations
@@ -25,13 +27,17 @@ import numpy as np
 
 from repro.core.encoding import ConfigEncoder
 from repro.core.measure import MeasurementSet
-from repro.core.sweep import SWEEP_CHUNK, PredictionSweeper, select_top_m
+from repro.core.sweep import PredictionSweeper, select_top_m
 from repro.ml.bagging import BaggedRegressor
 from repro.ml.ensemble import EnsembleMLPRegressor
 from repro.ml.metrics import mean_relative_error
 from repro.ml.mlp import MLPRegressor
 from repro.obs import NULL_TRACER
 from repro.params import ParameterSpace
+
+#: Rows per step of :meth:`PerformanceModel.predict_indices_reference`:
+#: bounds the temporaries of encoding and of a custom family's predict.
+_REFERENCE_CHUNK = 1 << 14
 
 
 def default_ann_factory(seed: Optional[int] = None) -> Callable[[], MLPRegressor]:
@@ -193,8 +199,17 @@ class PerformanceModel:
     def detach_tracer(self) -> "PerformanceModel":
         """Point the model, its ensemble and its compiled sweep engine at
         :data:`~repro.obs.NULL_TRACER`, for a model that outlives its run
-        (the daemon's model cache).  The engine is kept, not recompiled;
-        its scratch buffers are released, so an idle model holds weights."""
+        (the daemon's model cache).
+
+        The engine is kept, not recompiled: rebuilding its digit tables
+        would add their compile time (milliseconds) to the next predict,
+        on the daemon's event loop.  Its per-thread scratch is released,
+        so an idle model holds its weights plus the tables,
+        ``k * hidden * 4`` bytes per table row: 2.8 MB (convolution),
+        2.4 MB (raycasting) or 6.2 MB (stereo) for the paper's 11 x 30
+        ensemble.  A daemon's cache of ``model_cache_size`` (32) models
+        holds at most 6.2 MB x 32, about 200 MB, of tables.
+        """
         self.tracer = NULL_TRACER
         if isinstance(self._model, EnsembleMLPRegressor):
             self._model.tracer = NULL_TRACER
@@ -239,23 +254,32 @@ class PerformanceModel:
         return out
 
     def predict_indices_reference(self, indices: Sequence[int]) -> np.ndarray:
-        """Encode, predict and transform back, one ``SWEEP_CHUNK`` at a time.
+        """Predicted seconds, each member through its own epilogue.
 
-        The only path of custom model families, and the sweep engine's
-        parity baseline: chunked like the engine, it runs the same float32
-        GEMMs on the same rows, so the two differ only in the order of
-        the float64 epilogue (``tests/test_sweep.py``)."""
+        The sweep engine's parity baseline: for the default ensemble the
+        float32 member outputs come from the sweep's own digit tables
+        (:meth:`~repro.core.sweep.PredictionSweeper.member_outputs`,
+        gather form, one thread), and each member is mapped back through
+        the y-scaler before the mean, as
+        :meth:`~repro.ml.ensemble.EnsembleMLPRegressor.predict` does.  So
+        the two differ only in the order of the float64 epilogue
+        (``tests/test_sweep.py``).  Custom model families, with no
+        weights to fold, encode and call their own ``predict``."""
         if self._model is None:
             raise RuntimeError("predict before fit")
         indices = np.asarray(indices, dtype=np.int64)
         out = np.empty(indices.shape[0], dtype=np.float64)
+        sweeper = self._get_sweeper()
         with self.tracer.span(
             "model.predict", n=indices.shape[0], engine="reference"
         ):
-            for start in range(0, indices.shape[0], SWEEP_CHUNK):
-                chunk = indices[start : start + SWEEP_CHUNK]
-                X = self.encoder.encode_indices(chunk)
-                y = self._model.predict(X)
+            for start in range(0, indices.shape[0], _REFERENCE_CHUNK):
+                chunk = indices[start : start + _REFERENCE_CHUNK]
+                if sweeper is None:
+                    y = self._model.predict(self.encoder.encode_indices(chunk))
+                else:
+                    members = sweeper.member_outputs(chunk)
+                    y = self._model._y_scaler.inverse_transform(members).mean(axis=0)
                 out[start : start + chunk.shape[0]] = (
                     np.exp(y) if self.log_transform else y
                 )

@@ -1,49 +1,73 @@
-"""The whole-space prediction sweep: one compiled, streaming path.
+"""The whole-space prediction sweep: digit tables, chunks on every core.
 
 Stage two of the auto-tuner is "feasible because evaluating the model is
 orders of magnitude faster than running kernels" (§5.3): every tune
 predicts all 131K/655K/2.36M configurations of its space with one fitted
 ensemble and keeps the M best.  :class:`PredictionSweeper` compiles the
 fitted :class:`~repro.ml.ensemble.EnsembleMLPRegressor` once and then
-walks the space in chunks of :data:`SWEEP_CHUNK` rows:
+walks the space in chunks:
 
-* **scaler folding** — the x-``StandardScaler`` is applied to the
-  encoder's per-parameter value LUTs in float64 and rounded to float32.
-  Every feature value lives in one of those small LUTs, so the features
-  are bit-identical to the reference's scale-then-cast;
-* **fused buffers** — LUT rows are gathered straight into one reused
-  ``(chunk, n_features)`` float32 buffer (no ``np.concatenate``), the
-  forward pass runs in place through preallocated ``(k, chunk, hidden)``
-  activations, and the sigmoid is five in-place ufunc calls;
-* **float64 epilogue** — the float32 member outputs are averaged in
-  float64, then the y-scaler's affine and the ``exp`` of the log-time
-  recipe follow;
-* **streaming top-M** — chunks are reduced with a bounded
-  ``argpartition`` merge, so the M best of a 2.36M-point space need
-  O(chunk + M) memory, with an exact ``(prediction, index)`` tie-break.
+* **digit tables** — :class:`~repro.core.encoding.ConfigEncoder` gives
+  each parameter its own feature columns, so the first layer is a sum of
+  per-parameter terms, ``b1 + x·W1 = b1 + Σ_p T_p[digit_p]``.  The
+  compile step groups the mixed-radix digits from the least significant
+  and folds each group's terms into one float32 table (the highest
+  table also takes ``b1``), built in float64 with fixed-order
+  elementwise ops and rounded once.  Each of the paper's spaces needs
+  two tables, so a pre-activation is ``Hi[idx // R] + Lo[idx % R]``:
+  one broadcast add over a contiguous index range, two gathers for
+  arbitrary indices, the same bits either way;
+* **no BLAS** — the activation runs in place, the second layer is a
+  multiply by ``W2`` and a sum over the hidden units in a fixed order,
+  and the float64 epilogue follows: the member mean, the y-scaler's
+  affine and the ``exp`` of the log-time recipe;
+* **threads** — every step is elementwise or a reduction whose order
+  depends on neither the row count nor the member count, so each
+  prediction is a pure function of (model, index): not of its chunk, of
+  the thread that ran it, or of the BLAS build.  ``predict`` and
+  ``top_m`` split their chunks over the CPUs the process may use, on
+  threads that live for the call;
+* **streaming top-M** — each thread reduces its chunks with a bounded
+  ``argpartition`` merge and the threads' lists merge through
+  :func:`select_top_m`, so the M best of a 2.36M-point space need
+  O(chunk + M) memory per thread, with an exact ``(prediction, index)``
+  tie-break.
 
-The numeric contract: the same rows in the same chunks give the same
-bits.  :meth:`~repro.core.model.PerformanceModel.predict_indices_reference`
-chunks at the same :data:`SWEEP_CHUNK`, so it issues the same float32
-GEMMs and differs only in the order of the float64 epilogue (per-member
-affine then mean, against mean then affine here) — a few units of
-2^-53 times the largest log-time term; ``tests/test_sweep.py`` derives
-the bound.  A different row tiling of the same indices may move a
-prediction by float32 rounding.  See ``docs/performance.md``.
+:meth:`~repro.core.model.PerformanceModel.predict_indices_reference`
+runs the same tables (:meth:`PredictionSweeper.member_outputs`) with a
+per-member epilogue, so the two differ only in the order of the float64
+epilogue.  Against the ensemble's own float32 GEMM forward pass the
+tables differ by float32 rounding; ``tests/test_sweep.py`` derives both
+bounds.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs import NULL_TRACER
 
-#: Rows per fused pass: large enough to keep BLAS busy, small enough that
-#: the (k, chunk, hidden) activation buffer stays cache-resident
-#: (11 x 16384 x 30 float32 ~ 21 MiB).  The reference path uses it too.
-SWEEP_CHUNK = 1 << 14
+#: Row cap of a digit table: it bounds what a compiled model holds
+#: (at most 6.2 MB of tables on the paper's spaces).  The lowest table is
+#: the one a contiguous range broadcasts over, so its rows are also the
+#: broadcast's inner-loop length, and NumPy pays a fixed cost per loop.
+TABLE_ROWS = 1 << 12
+#: Target rows per chunk, rounded down to whole low-table blocks: a
+#: thread's (hidden, k, chunk) float32 scratch stays ~5 MB.
+SWEEP_CHUNK = 1 << 12
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def select_top_m(
@@ -113,18 +137,45 @@ class _TopMAccumulator:
         return self._values[0], self._indices[0]
 
 
-class _Buffers:
-    """Preallocated scratch for the fused pipeline."""
+def _digit_groups(cardinalities: Sequence[int]) -> List[Tuple[int, int]]:
+    """Parameter ranges ``[start, stop)`` of the digit tables, most
+    significant first.
 
-    __slots__ = ("X", "A1", "P", "dig", "rem", "pred")
+    Each table takes the next parameters while their product stays
+    within :data:`TABLE_ROWS`; a parameter wider than that gets a table
+    of its own.  When one table covers the whole space, an empty group on
+    top holds ``b1``.
+    """
+    groups = []
+    stop = len(cardinalities)
+    while stop > 0:
+        start, rows = stop - 1, cardinalities[stop - 1]
+        while start > 0 and rows * cardinalities[start - 1] <= TABLE_ROWS:
+            start -= 1
+            rows *= cardinalities[start]
+        groups.append((start, stop))
+        stop = start
+    if len(groups) == 1:
+        groups.append((0, 0))
+    return groups[::-1]
 
-    def __init__(self, chunk: int, d: int, k: int, h: int):
-        self.X = np.empty((chunk, d), dtype=np.float32)
-        self.A1 = np.empty((k, chunk, h), dtype=np.float32)
-        self.P = np.empty((k, chunk, 1), dtype=np.float32)
-        self.dig = np.empty(chunk, dtype=np.int64)
-        self.rem = np.empty(chunk, dtype=np.int64)
-        self.pred = np.empty(chunk, dtype=np.float64)
+
+class _Scratch:
+    """One worker's buffers, flat so that the first rows of any
+    row count form contiguous views."""
+
+    __slots__ = ("rows", "z", "spare", "pred")
+
+    def __init__(self, rows: int, width: int):
+        self.rows = rows
+        self.z = np.empty(width * rows, dtype=np.float32)
+        self.spare: Optional[np.ndarray] = None  # the gathers' second operand
+        self.pred = np.empty(rows, dtype=np.float64)
+
+    def gather_spare(self) -> np.ndarray:
+        if self.spare is None:
+            self.spare = np.empty_like(self.z)
+        return self.spare
 
 
 class PredictionSweeper:
@@ -153,100 +204,257 @@ class PredictionSweeper:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.space = space
         self.log_transform = log_transform
-        with self.tracer.span("sweep.compile", k=ensemble.k):
+        with self.tracer.span("sweep.compile", k=ensemble.k) as span:
             self._compile(encoder, ensemble)
-        self._bufs: Optional[_Buffers] = None
+            span.set(
+                rows=[t.shape[2] for t in self.tables],
+                bytes=sum(t.nbytes for t in self.tables),
+            )
+        self._scratch: List[_Scratch] = []
 
     def _compile(self, encoder, ensemble) -> None:
-        """Fold the x-scaler into the LUTs; freeze everything to arrays.
+        """Fold the x-scaler, ``W1`` and ``b1`` into the digit tables.
 
-        The x-scaler is applied to the LUT *entries* in float64 and the
-        result rounded to float32 — bit-identical features to the
-        reference's scale-then-cast.  The weights stay untouched, and the
-        y-scaler stays a float64 affine applied once per chunk (the
-        reference also leaves float32 at that point).
+        Each parameter's features are its encoder LUT scaled in float64
+        and rounded to float32 — the exact features the ensemble's GEMM
+        sees.  Their products with ``W1`` are exact in float64; a table
+        row sums ``b1`` (highest table only) and its group's terms in
+        parameter order, then rounds once to float32.  Only elementwise
+        ufuncs run, so the tables do not depend on the BLAS build.
+        Tables are stored ``(hidden, k, rows)``, the chunk layout.
         """
         W1, b1, W2, b2 = ensemble._params
         x_mean = np.asarray(ensemble._x_scaler.mean_, dtype=np.float64)
         x_scale = np.asarray(ensemble._x_scaler.scale_, dtype=np.float64)
         self.out_shift = float(np.ravel(ensemble._y_scaler.mean_)[0])
         self.out_scale = float(np.ravel(ensemble._y_scaler.scale_)[0])
-        self.places = np.asarray(self.space.places, dtype=np.int64)
-        self.luts: List[np.ndarray] = []
-        self.col_slices: List[Tuple[int, int]] = []
-        start = 0
+        self.k, _, self.h = W1.shape
+        W1_64 = W1.astype(np.float64)
+        terms = []  # per parameter: (cardinality, k, h) float64
+        c0 = 0
         for lut in encoder._columns:
-            c0, c1 = start, start + lut.shape[1]
-            self.luts.append(
-                ((lut - x_mean[c0:c1]) / x_scale[c0:c1]).astype(np.float32)
-            )
-            self.col_slices.append((c0, c1))
-            start = c1
-        self.W1 = np.ascontiguousarray(W1, dtype=np.float32)
-        self.b1 = np.ascontiguousarray(b1, dtype=np.float32)
-        self.W2 = np.ascontiguousarray(W2, dtype=np.float32)
-        self.b2 = np.ascontiguousarray(b2, dtype=np.float32)
+            c1 = c0 + lut.shape[1]
+            x = ((lut - x_mean[c0:c1]) / x_scale[c0:c1]).astype(np.float32)
+            x = x.astype(np.float64)
+            term = x[:, 0, None, None] * W1_64[None, :, c0, :]
+            for j in range(1, c1 - c0):
+                term += x[:, j, None, None] * W1_64[None, :, c0 + j, :]
+            terms.append(term)
+            c0 = c1
+
+        cards = [t.shape[0] for t in terms]
+        groups = _digit_groups(cards)
+        self.tables: List[np.ndarray] = []
+        for g, (lo, hi) in enumerate(groups):
+            shape = cards[lo:hi]
+            acc = np.zeros(shape + [self.k, self.h], dtype=np.float64)
+            if g == 0:
+                acc += b1.astype(np.float64)
+            for p in range(lo, hi):
+                axes = [1] * len(shape)
+                axes[p - lo] = cards[p]
+                acc += terms[p].reshape(axes + [self.k, self.h])
+            table = acc.reshape(-1, self.k, self.h).transpose(2, 1, 0)
+            self.tables.append(np.ascontiguousarray(table, dtype=np.float32))
+        # Each table with its place: its row for configuration ``idx`` is
+        # (idx // place) % rows.  The lowest table's rows R set the blocks
+        # a contiguous range is cut into.
+        self._placed: List[Tuple[np.ndarray, int]] = []
+        place = 1
+        for table in self.tables[::-1]:
+            self._placed.insert(0, (table, place))
+            place *= table.shape[2]
+        self.low = self.tables[-1]
+        self.R = self.low.shape[2]
+        self.W2 = np.ascontiguousarray(W2.T[:, :, None])  # (h, k, 1)
+        self.b2 = np.ascontiguousarray(b2[:, None])  # (k, 1)
         self.activation = ensemble.activation
-        self.k, self.d, self.h = self.W1.shape
+        self.chunk = self.R * max(1, SWEEP_CHUNK // self.R)
 
-    # -- the fused chunk kernel ------------------------------------------------
+    # -- the chunk kernel --------------------------------------------------------
 
-    def _buffers(self, chunk: int) -> _Buffers:
-        if self._bufs is None or self._bufs.X.shape[0] != chunk:
-            self._bufs = _Buffers(chunk, self.d, self.k, self.h)
-        return self._bufs
+    def _scratch_for(self, slot: int, rows: int) -> _Scratch:
+        """Slot ``slot``'s scratch, grown to ``rows`` rows; slots are
+        asked for in order, so a new one is always the next."""
+        if slot == len(self._scratch):
+            self._scratch.append(_Scratch(rows, self.h * self.k))
+        elif self._scratch[slot].rows < rows:
+            self._scratch[slot] = _Scratch(rows, self.h * self.k)
+        return self._scratch[slot]
 
     def release_buffers(self) -> None:
-        """Drop the warm scratch buffers; the next sweep re-allocates."""
-        self._bufs = None
+        """Drop the per-thread scratch; the tables stay, and the next
+        sweep re-allocates."""
+        self._scratch = []
 
-    def _forward_chunk(self, idx_chunk: np.ndarray, bufs: _Buffers) -> np.ndarray:
-        """Fused encode -> forward -> mean -> affine -> exp for one chunk.
+    def _view(self, flat: np.ndarray, c: int) -> np.ndarray:
+        return flat[: self.h * self.k * c].reshape(self.h, self.k, c)
 
-        Returns a float64 view ``bufs.pred[:c]`` — valid until the next
-        call on the same buffers.
-        """
-        c = idx_chunk.shape[0]
-        if c != bufs.X.shape[0]:
-            # Partial (final) chunk: exact-size buffers keep every view
-            # contiguous, so matmul hits the same BLAS path as a full
-            # chunk (and as the reference) — one extra allocation per
-            # sweep, never per chunk.
-            bufs = _Buffers(c, self.d, self.k, self.h)
-        Xv, A1v, Pv = bufs.X, bufs.A1, bufs.P
-        rem, dig = bufs.rem, bufs.dig
+    @staticmethod
+    def _gather(idx: np.ndarray, placed, out: np.ndarray, spare) -> np.ndarray:
+        """``out[..., i]`` = the sum of the ``placed`` tables' rows for
+        configuration ``idx[i]``, added in table order (``spare``: a
+        second buffer of ``out``'s shape).  The rows are computed in
+        range: ``np.take``'s wrap mode reduces an index by repeated
+        subtraction, and its raise mode buffers ``out``."""
+        for g, (table, place) in enumerate(placed):
+            rows = idx // place
+            rows %= table.shape[2]
+            np.take(table, rows, axis=2, out=spare if g else out, mode="wrap")
+            if g:
+                out += spare
+        return out
 
-        # Mixed-radix decompose + gather scaled LUT rows, no concatenate.
-        np.copyto(rem, idx_chunk)
-        for place, lut, (c0, c1) in zip(self.places, self.luts, self.col_slices):
-            np.floor_divide(rem, place, out=dig)
-            np.remainder(rem, place, out=rem)
-            Xv[:, c0:c1] = lut[dig]
-
-        np.matmul(Xv, self.W1, out=A1v)
-        A1v += self.b1[:, None, :]
-        if self.activation.name == "sigmoid":
-            # In-place sigmoid: the exact ufunc sequence of
-            # ml.activations.Sigmoid.value, minus the six temporaries.
-            np.clip(A1v, -40.0, 40.0, out=A1v)
-            np.negative(A1v, out=A1v)
-            np.exp(A1v, out=A1v)
-            A1v += 1.0
-            np.reciprocal(A1v, out=A1v)
+    def _preacts_range(self, buf: _Scratch, start: int, stop: int) -> np.ndarray:
+        """Pre-activations of configurations ``start..stop-1``, a whole
+        number of low-table blocks: one broadcast add of the higher
+        tables' sum per block and the low table."""
+        h0, h1 = start // self.R, stop // self.R
+        if len(self._placed) == 2:
+            high = self.tables[0][:, :, h0:h1]
         else:
-            A1v[...] = self.activation.value(A1v)
-        np.matmul(A1v, self.W2[:, :, None], out=Pv)
+            shape = (self.h, self.k, h1 - h0)
+            high = self._gather(
+                np.arange(h0, h1, dtype=np.int64) * self.R,
+                self._placed[:-1],
+                np.empty(shape, dtype=np.float32),
+                np.empty(shape, dtype=np.float32),
+            )
+        z = self._view(buf.z, stop - start)
+        np.add(
+            high[:, :, :, None],
+            self.low[:, :, None, :],
+            out=z.reshape(self.h, self.k, h1 - h0, self.R),
+        )
+        return z
 
-        out = bufs.pred[:c]
-        member = Pv[:, :, 0] + self.b2[:, None]  # float32 (k, c)
-        np.mean(member, axis=0, dtype=np.float64, out=out)
+    def _preacts_gather(self, buf: _Scratch, idx: np.ndarray) -> np.ndarray:
+        """Pre-activations of arbitrary configurations: one gather per
+        table, added in table order — the range form's adds."""
+        c = idx.shape[0]
+        return self._gather(
+            idx,
+            self._placed,
+            self._view(buf.z, c),
+            self._view(buf.gather_spare(), c),
+        )
+
+    def _members(self, z: np.ndarray) -> np.ndarray:
+        """Activation, second layer and ``b2`` on pre-activations ``z``
+        (hidden, k, c), in place; returns the float32 (k, c) member
+        outputs, a view into ``z``.  The hidden units are summed by
+        folding the upper half of the rows onto the lower half until one
+        is left: a tree fixed by the hidden width alone, never by the
+        row or member count (which ``np.add.reduce`` would consult)."""
+        self.activation.value(z, out=z)
+        z *= self.W2
+        rows = self.h
+        while rows > 1:
+            half = rows // 2
+            z[:half] += z[rows - half : rows]
+            rows -= half
+        acc = z[0]
+        acc += self.b2
+        return acc
+
+    def _epilogue(self, members: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Member mean (float64, one add per member), y-affine, exp."""
+        np.copyto(out, members[0])
+        for j in range(1, self.k):
+            out += members[j]
+        out /= self.k
         out *= self.out_scale
         out += self.out_shift
         if self.log_transform:
             np.exp(out, out=out)
         return out
 
-    # -- the sweep loop ----------------------------------------------------------
+    def _forward(
+        self,
+        buf: _Scratch,
+        indices: Optional[np.ndarray],
+        start: int,
+        stop: int,
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """Predictions of rows ``start..stop-1`` of a call into ``out``;
+        returns their configuration indices."""
+        if indices is not None:
+            idx = indices[start:stop]
+            z = self._preacts_gather(buf, idx)
+        else:
+            idx = np.arange(start, stop, dtype=np.int64)
+            if start % self.R == 0 and stop % self.R == 0:
+                z = self._preacts_range(buf, start, stop)
+            else:
+                z = self._preacts_gather(buf, idx)
+        self._epilogue(self._members(z), out)
+        return idx
+
+    # -- the threaded loop ---------------------------------------------------------
+
+    def _threads(self, n: int, chunk: int) -> int:
+        """min(CPUs this process may use, chunks), at least one."""
+        return max(1, min(_cpu_count(), -(-n // chunk)))
+
+    def _run(self, n: int, chunk: int, threads: int, work) -> None:
+        """Call ``work(slot, scratch, start, stop)`` for every chunk of
+        ``[0, n)``: inline with one thread, else on ``threads`` threads
+        that take chunks in turn and are joined before this returns."""
+        bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
+        bufs = [self._scratch_for(t, min(chunk, n)) for t in range(threads)]
+        if threads == 1:
+            for start, stop in bounds:
+                work(0, bufs[0], start, stop)
+            return
+        pending = iter(bounds)
+        lock = threading.Lock()
+
+        def worker(slot: int) -> None:
+            while True:
+                with lock:
+                    bound = next(pending, None)
+                if bound is None:
+                    return
+                work(slot, bufs[slot], *bound)
+
+        with ThreadPoolExecutor(threads) as pool:
+            for future in [pool.submit(worker, t) for t in range(threads)]:
+                future.result()
+
+    def _predict(
+        self,
+        indices: Optional[np.ndarray],
+        chunk: Optional[int] = None,
+        threads: Optional[int] = None,
+    ) -> np.ndarray:
+        """Predictions of ``indices`` (None = the whole space) in chunks
+        of ``chunk`` rows; any chunking gives the same bits."""
+        n = self._size(indices)
+        chunk = chunk or self.chunk
+        out = np.empty(n, dtype=np.float64)
+        self._run(
+            n,
+            chunk,
+            threads or self._threads(n, chunk),
+            lambda slot, buf, s, e: self._forward(buf, indices, s, e, out[s:e]),
+        )
+        return out
+
+    def member_outputs(self, indices: Sequence[int]) -> np.ndarray:
+        """The float32 ``(k, n)`` member outputs of ``indices``, before
+        any epilogue: gather form, one thread, own scratch."""
+        idx = self._as_indices(indices)
+        n = idx.shape[0]
+        out = np.empty((self.k, n), dtype=np.float32)
+        buf = _Scratch(min(self.chunk, n), self.h * self.k)
+        for s in range(0, n, self.chunk):
+            out[:, s : s + self.chunk] = self._members(
+                self._preacts_gather(buf, idx[s : s + self.chunk])
+            )
+        return out
+
+    # -- validation and counters ---------------------------------------------------
 
     def _as_indices(self, indices: Optional[Sequence[int]]) -> Optional[np.ndarray]:
         """Validated int64 indices; None stands for the whole space."""
@@ -262,31 +470,9 @@ class PredictionSweeper:
     def _size(self, indices: Optional[np.ndarray]) -> int:
         return self.space.size if indices is None else int(indices.shape[0])
 
-    def _sweep(self, indices: Optional[np.ndarray], chunk: int):
-        """Yield ``(index chunk, predictions)`` per fused pass of ``chunk``
-        rows; each prediction view is valid until the next step."""
-        n = self._size(indices)
-        bufs = self._buffers(chunk)
-        for s in range(0, n, chunk):
-            if indices is None:
-                idx_chunk = np.arange(s, min(s + chunk, n), dtype=np.int64)
-            else:
-                idx_chunk = indices[s : s + chunk]
-            yield idx_chunk, self._forward_chunk(idx_chunk, bufs)
-
-    def _predict(
-        self, indices: Optional[np.ndarray], chunk: int = SWEEP_CHUNK
-    ) -> np.ndarray:
-        out = np.empty(self._size(indices), dtype=np.float64)
-        pos = 0
-        for _, pred in self._sweep(indices, chunk):
-            out[pos : pos + pred.shape[0]] = pred
-            pos += pred.shape[0]
-        return out
-
-    def _count(self, n: int) -> None:
+    def _count(self, n: int, chunks: int) -> None:
         self.tracer.count("sweep.configs", n)
-        self.tracer.count("sweep.chunks", -(-n // SWEEP_CHUNK))
+        self.tracer.count("sweep.chunks", chunks)
 
     # -- public API ------------------------------------------------------------
 
@@ -294,9 +480,12 @@ class PredictionSweeper:
         """Predicted seconds for ``indices`` (None = the whole space)."""
         idx = self._as_indices(indices)
         n = self._size(idx)
-        with self.tracer.span("sweep.predict", n=n):
-            out = self._predict(idx)
-            self._count(n)
+        threads = self._threads(n, self.chunk)
+        with self.tracer.span(
+            "sweep.predict", n=n, threads=threads, chunk=self.chunk
+        ):
+            out = self._predict(idx, threads=threads)
+            self._count(n, -(-n // self.chunk))
         return out
 
     def top_m(
@@ -305,24 +494,40 @@ class PredictionSweeper:
         """Indices of the ``m`` lowest predictions, best first.
 
         Ties are broken by smallest configuration index, so the result is
-        a pure function of the predictions.
+        a pure function of the predictions, however the chunks were split
+        between threads.
         """
         if m < 0:
             raise ValueError("m must be >= 0")
         idx = self._as_indices(indices)
         n = self._size(idx)
         m = min(m, n)
-        with self.tracer.span("sweep.top_m", n=n, m=m):
+        threads = self._threads(n, self.chunk)
+        with self.tracer.span(
+            "sweep.top_m", n=n, m=m, threads=threads, chunk=self.chunk
+        ):
             if m == 0:
                 best = np.empty(0, dtype=np.int64)
             elif m == n:
                 # Full-order request: streaming buys nothing, select once.
                 everything = np.arange(n, dtype=np.int64) if idx is None else idx
-                _, best = select_top_m(self._predict(idx), everything, m)
+                _, best = select_top_m(
+                    self._predict(idx, threads=threads), everything, m
+                )
             else:
-                acc = _TopMAccumulator(m, SWEEP_CHUNK)
-                for idx_chunk, pred in self._sweep(idx, SWEEP_CHUNK):
-                    acc.absorb(pred, idx_chunk)
-                _, best = acc.result()
-            self._count(n)
+                accs = [_TopMAccumulator(m, self.chunk) for _ in range(threads)]
+
+                def work(slot, buf, start, stop):
+                    pred = buf.pred[: stop - start]
+                    chunk_idx = self._forward(buf, idx, start, stop, pred)
+                    accs[slot].absorb(pred, chunk_idx)
+
+                self._run(n, self.chunk, threads, work)
+                parts = [acc.result() for acc in accs]
+                _, best = select_top_m(
+                    np.concatenate([v for v, _ in parts]),
+                    np.concatenate([i for _, i in parts]),
+                    m,
+                )
+            self._count(n, -(-n // self.chunk) if m else 0)
         return best

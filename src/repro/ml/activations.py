@@ -3,7 +3,9 @@
 The paper uses sigmoid hidden units (§5.2); the others are provided for the
 hidden-width/activation ablations.  Each activation exposes
 
-* ``value(z)`` — elementwise activation of pre-activations ``z``;
+* ``value(z, out=None)`` — elementwise activation of pre-activations
+  ``z``, into ``out`` when given (``out=z`` runs in place, the same bits
+  as a fresh result);
 * ``derivative(a)`` — elementwise derivative expressed as a function of the
   *activation output* ``a`` (cheaper during backprop: no need to keep ``z``).
 """
@@ -19,11 +21,16 @@ class Sigmoid:
     name = "sigmoid"
 
     @staticmethod
-    def value(z: np.ndarray) -> np.ndarray:
+    def value(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # Clipping to +-40 keeps exp() in range without changing the value
         # (sigmoid is fully saturated there) and stays branch-free — this
-        # runs on (k, n, h) tensors every training epoch.
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -40.0, 40.0)))
+        # runs on (k, n, h) tensors every training epoch.  The ufuncs of
+        # 1 / (1 + exp(-clip(z))), each in place on the clipped copy.
+        out = np.clip(z, -40.0, 40.0, out=out)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.reciprocal(out, out=out)
 
     @staticmethod
     def derivative(a: np.ndarray) -> np.ndarray:
@@ -34,8 +41,8 @@ class Tanh:
     name = "tanh"
 
     @staticmethod
-    def value(z: np.ndarray) -> np.ndarray:
-        return np.tanh(z)
+    def value(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.tanh(z, out=out)
 
     @staticmethod
     def derivative(a: np.ndarray) -> np.ndarray:
@@ -46,8 +53,8 @@ class ReLU:
     name = "relu"
 
     @staticmethod
-    def value(z: np.ndarray) -> np.ndarray:
-        return np.maximum(z, 0.0)
+    def value(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.maximum(z, 0.0, out=out)
 
     @staticmethod
     def derivative(a: np.ndarray) -> np.ndarray:
@@ -60,8 +67,11 @@ class Identity:
     name = "identity"
 
     @staticmethod
-    def value(z: np.ndarray) -> np.ndarray:
-        return z
+    def value(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None or out is z:
+            return z
+        np.copyto(out, z)
+        return out
 
     @staticmethod
     def derivative(a: np.ndarray) -> np.ndarray:

@@ -53,6 +53,11 @@ class TraceSummary:
         self.spans: Dict[str, SpanAggregate] = {}
         self.total_cost_s = 0.0
         self.total_wall_s = 0.0
+        #: The prediction sweep's calls: configurations, wall seconds and
+        #: the thread counts they ran on.
+        self.sweep_configs = 0
+        self.sweep_wall_s = 0.0
+        self.sweep_threads: set = set()
         # Span records arrive children-before-parents (emitted at exit), so
         # a parent's direct children are the unclaimed spans one level
         # deeper.  Track per worker stream: merged traces interleave cells.
@@ -71,6 +76,8 @@ class TraceSummary:
                 if worker is not None and worker not in self.workers:
                     self.workers.append(worker)
                 self._add_span(record, pending.setdefault((worker,), {}))
+                if record["name"] in ("sweep.predict", "sweep.top_m"):
+                    self._add_sweep(record)
 
     def _add_span(self, record: Mapping[str, Any], pending: Dict[int, List[dict]]) -> None:
         depth = int(record.get("depth", 0))
@@ -89,6 +96,28 @@ class TraceSummary:
             self.total_cost_s += cost
             self.total_wall_s += _as_float(record.get("dur_s", 0.0))
             pending.clear()
+
+    def _add_sweep(self, record: Mapping[str, Any]) -> None:
+        attrs = record.get("attrs", {})
+        self.sweep_configs += int(attrs.get("n", 0))
+        self.sweep_wall_s += _as_float(record.get("dur_s", 0.0))
+        if "threads" in attrs:
+            self.sweep_threads.add(int(attrs["threads"]))
+
+    def sweep_line(self) -> Optional[str]:
+        """The prediction sweep's throughput and thread count, or None
+        when the trace holds no sweep."""
+        if not self.sweep_configs or self.sweep_wall_s <= 0:
+            return None
+        lo = min(self.sweep_threads, default=1)
+        hi = max(self.sweep_threads, default=1)
+        threads = f"{hi}" if lo == hi else f"{lo}-{hi}"
+        return (
+            f"prediction sweep: {self.sweep_configs:,} configs in "
+            f"{self.sweep_wall_s:.3f} s, "
+            f"{self.sweep_configs / self.sweep_wall_s:,.0f} configs/s "
+            f"on {threads} thread{'s' if hi > 1 else ''}"
+        )
 
     def stage_rows(self) -> List[SpanAggregate]:
         """Span aggregates, shallowest first then by cost share."""
@@ -148,6 +177,9 @@ def render_summary(path_or_records) -> str:
             f"total: {s.total_wall_s:.3f} s wall, "
             f"{s.total_cost_s:.2f} s simulated cost"
         )
+    sweep_line = s.sweep_line()
+    if sweep_line is not None:
+        blocks.append(sweep_line)
     unit_rows = [
         agg for name, agg in s.spans.items() if name.startswith("unit:")
     ]

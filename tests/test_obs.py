@@ -463,6 +463,70 @@ class TestDetachTracer:
         np.testing.assert_array_equal(after[1], before[1])
 
 
+class TestSweepObservability:
+    """The prediction sweep's spans and counters say how it ran."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        spec = ConvolutionKernel()
+        ctx = Context(NVIDIA_K40, seed=8)
+        sample = Measurer(ctx, spec).sample_and_measure(
+            150, np.random.default_rng(8)
+        )
+        return PerformanceModel(spec.space, seed=8).fit_measurements(sample)
+
+    def traced(self, fitted):
+        tracer = Tracer()
+        model = PerformanceModel(fitted.space, seed=8, tracer=tracer)
+        model._model = fitted._model
+        return model, tracer
+
+    def test_compile_span_carries_table_rows_and_bytes(self, fitted):
+        model, tracer = self.traced(fitted)
+        model.predict_indices([0])
+        (span,) = spans_of(tracer.records, "sweep.compile")
+        tables = model._sweeper.tables
+        assert span["attrs"]["rows"] == [t.shape[2] for t in tables] == [64, 2048]
+        assert span["attrs"]["bytes"] == sum(t.nbytes for t in tables)
+
+    def test_calls_carry_threads_and_chunk_and_count_chunks_run(
+        self, fitted, monkeypatch
+    ):
+        from repro.core import sweep
+
+        monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
+        model, tracer = self.traced(fitted)
+        size = model.space.size
+        model.predict_indices(np.arange(10, dtype=np.int64))
+        model.top_m(5)
+        chunk = model._sweeper.chunk
+        predict = spans_of(tracer.records, "sweep.predict")[0]["attrs"]
+        top_m = spans_of(tracer.records, "sweep.top_m")[0]["attrs"]
+        assert (predict["threads"], predict["chunk"]) == (1, chunk)
+        assert (top_m["threads"], top_m["chunk"]) == (2, chunk)
+        # One chunk for the ten indices, then the whole space's chunks.
+        assert tracer.counters["sweep.chunks"] == 1 + -(-size // chunk)
+        assert tracer.counters["sweep.configs"] == 10 + size
+
+    def test_trace_summary_prints_sweep_throughput_and_threads(
+        self, fitted, monkeypatch
+    ):
+        from repro.core import sweep
+
+        monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
+        model, tracer = self.traced(fitted)
+        model.top_m(5)
+        model.top_m(5)
+        lines = [
+            line
+            for line in render_summary(tracer.records).splitlines()
+            if line.startswith("prediction sweep:")
+        ]
+        assert len(lines) == 1
+        assert f"{2 * model.space.size:,} configs" in lines[0]
+        assert "configs/s on 2 threads" in lines[0]
+
+
 class TestTraceSummary:
     def test_summary_aggregates_and_renders(self, tmp_path):
         spec = ConvolutionKernel()

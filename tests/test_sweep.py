@@ -2,30 +2,45 @@
 
 The contract of ``src/repro/core/sweep.py``:
 
-* the sweep and ``PerformanceModel.predict_indices_reference`` cut the
-  same indices into the same ``SWEEP_CHUNK`` rows, so both run the same
-  float32 GEMMs on the same rows and differ only in the order of their
-  float64 epilogues — by at most the bound :func:`epilogue_bound`
+* a prediction is a pure function of (model, index): the same bits
+  whether the configuration is predicted alone, in a pair or anywhere in
+  a chunk, through the range or the gather form, on one thread or
+  several (a hypothesis property over k = 1, 3 and 11 members);
+* the sweep and ``PerformanceModel.predict_indices_reference`` share the
+  digit tables and the hidden layer and differ only in the order of
+  their float64 epilogues — by at most the bound :func:`epilogue_bound`
   derives, with and without the log transform;
-* the same rows in the same chunks give the same bits;
+* against the ensemble's own float32 GEMM forward pass
+  (``EnsembleMLPRegressor.predict`` on encoded features) the tables
+  differ by float32 rounding, within the bound :func:`gemm_bound`
+  derives per index from the weights; at both fig. 11 anchors the tuned
+  model's top-M equals the exact selection over that forward pass;
 * top-M breaks prediction ties by smallest index, equals the exact
   selection over the reference path's predictions, and is nested in M;
+* a cached model keeps its tables but drops its per-thread scratch;
 * a custom model family, with no weights to fold, uses the reference
   path;
 * empty and singleton candidate sets behave like the reference.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import sweep
 from repro.core.model import PerformanceModel
 from repro.core.sweep import (
     PredictionSweeper,
     _TopMAccumulator,
     select_top_m,
 )
+from repro.core.tuner import MLAutoTuner, TunerSettings
 from repro.experiments.oracle import TrueTimeOracle
 from repro.kernels import ConvolutionKernel
+from repro.runtime import Context
 from repro.simulator import NVIDIA_K40
 
 
@@ -46,6 +61,20 @@ def fitted(spec):
     return model
 
 
+@pytest.fixture(scope="module")
+def models(spec, fitted):
+    """Fitted models with k = 1, 3 and 11 members."""
+    oracle = TrueTimeOracle(spec, NVIDIA_K40)
+    out = {11: fitted}
+    for k in (1, 3):
+        rng = np.random.default_rng(20 + k)
+        idx = spec.space.sample_indices(300, rng)
+        t = oracle.measure(idx, rng)
+        ok = ~np.isnan(t)
+        out[k] = PerformanceModel(spec.space, k=k, seed=20 + k).fit(idx[ok], t[ok])
+    return out
+
+
 def make_sweeper(model):
     return PredictionSweeper(
         model.space, model.encoder, model._model,
@@ -63,7 +92,7 @@ def epilogue_bound(model, idx):
     the log transform).
 
     Both paths start from the same float32 member outputs ``p_j``
-    (j = 1..k: same rows, same chunks, same GEMMs) and compute
+    (j = 1..k: the same digit tables and hidden layer) and compute
     ``y = u + s * mean_j(p_j)`` with the y-scaler ``(u, s)``:
 
     * reference: ``t_j = fl(fl(s * p_j) + u)`` per member, then a
@@ -72,11 +101,13 @@ def epilogue_bound(model, idx):
       k, then ``fl(fl(s * mean) + u)``.
 
     Let ``L`` bound every term: ``|u|``, ``|s * p_j|``, ``|t_j|`` and so
-    ``|y|``; ``L = max|t_j| + |u|`` does.  Each rounding errs by at most
-    ``EPS`` times the magnitude of its result, to first order (the
-    neglected terms are of order ``k**2 * EPS**2 * L``, below 1e-28 for
-    these models).  The i-th partial sum is at most ``i * L``, so a k-term
-    sum errs by at most ``EPS * L * (2 + ... + k)``, which is below
+    ``|y|``; ``L = max|t_j| + |u|`` does (``t_j`` read off the GEMM
+    forward pass, within float32 rounding of the tables' own).  Each
+    rounding errs by at most ``EPS`` times the magnitude of its result,
+    to first order (the neglected terms are of order
+    ``k**2 * EPS**2 * L``, below 1e-28 for these models).  The i-th
+    partial sum is at most ``i * L``, so a k-term sum errs by at most
+    ``EPS * L * (2 + ... + k)``, which is below
     ``EPS * L * (k + 1) / 2`` after the division by k.  Each path
     adds three more roundings of at most ``L``: two per member term and
     the division (reference), or the division, product and sum (sweep).
@@ -91,6 +122,94 @@ def epilogue_bound(model, idx):
 #: Rounding of the final ``exp`` in each path, relative: a generous 4 ulp
 #: (8 EPS) per call.
 EXP_ROUNDING = 2 * 8 * EPS
+
+#: Unit roundoff of float32 (round to nearest).
+U32 = 2.0**-24
+
+#: Relative error assumed of one float32 ``np.exp``: 8 float32 unit
+#: roundoffs (4.8e-7).  NumPy's AVX2/AVX512F float32 ``exp`` states a
+#: largest error of 2.52 ulp, 2.13e-7 relative, measured over every
+#: float32 input (the comment above ``simd_exp_f32`` in NumPy's
+#: ``umath/loops_exponent_log.dispatch.c.src``); a C library's ``expf``,
+#: NumPy's scalar fallback, is within 1 ulp.
+EXP32 = 8 * U32
+
+#: Relative error of one float32 sigmoid ``1 / (1 + exp(-clip(z)))``:
+#: clip and negate are exact; ``exp`` errs by ``EXP32``, the add and the
+#: reciprocal round once each, so ``fl(sigma) = sigma * (1 + theta)``
+#: with ``|theta|`` at most this.
+SIGMOID32 = (1 + U32) / ((1 - EXP32) * (1 - U32)) - 1
+
+
+def gamma(n, u=U32):
+    """Higham's ``gamma_n = n u / (1 - n u)``: the relative error bound
+    of ``n`` roundings, e.g. of an n-term dot product in any order."""
+    return n * u / (1 - n * u)
+
+
+def gemm_forward(model, idx, chunk=1 << 14):
+    """The ensemble's own forward pass, which ``predict_indices_reference``
+    ran before the digit tables: encode, ``EnsembleMLPRegressor.predict``
+    (two float32 GEMMs, the per-member epilogue), ``exp``; in chunks of
+    2^14."""
+    out = np.empty(idx.shape[0], dtype=np.float64)
+    for s in range(0, idx.shape[0], chunk):
+        y = model._model.predict(model.encoder.encode_indices(idx[s : s + chunk]))
+        out[s : s + chunk] = np.exp(y) if model.log_transform else y
+    return out
+
+
+def gemm_bound(model, idx, tables=None):
+    """Per index, the largest ``|sweep - GEMM| / GEMM`` the arithmetic
+    allows, for a log-transform model (:func:`gemm_forward`) whose sweep
+    has ``tables`` digit tables (default: as compiled now).
+
+    Both sides see the same float32 features ``x`` (each scaled LUT
+    value rounded once) and weights.  Let ``z = b1 + x·W1`` exactly and
+    ``S = |b1| + Σ|x·W1|`` per (member, index, hidden unit).
+
+    * **Pre-activations.**  The GEMM is a d-term float32 dot product plus
+      ``b1``: ``d + 1`` roundings, within ``gamma(d + 1) * S`` in any
+      summation order.  The sweep forms the products exactly in float64,
+      sums them in float64 (within ``gamma_64(d + 1) * S``), rounds each
+      of its ``G`` tables once to float32 and joins them with ``G - 1``
+      float32 adds: within ``(2G - 1) * U32 * (1 + U32)**(2G) * S`` more.
+      ``dz`` is the sum of both.
+    * **Activations.**  ``sigmoid(clip(z))`` is 1/4-Lipschitz, so the
+      exact activations of the two pre-activations differ by at most
+      ``dz / 4``.  Each side's float32 sigmoid adds ``SIGMOID32`` times
+      its value, and both values lie below ``a_up = sigmoid(z + dz)``.
+    * **Hidden sum.**  ``p = b2 + Σ_h W2_h a_h`` takes ``H`` products and
+      ``H`` adds on each side (a tree in the sweep, BLAS's order in the
+      GEMM): within ``gamma(H + 1) * (|b2| + Σ|W2_h| a_h)`` each.
+    * **Epilogue.**  The y-scaler multiplies member differences by its
+      scale ``s`` and the member mean averages them; the two float64
+      epilogues add :func:`epilogue_bound`; ``exp`` turns a log-time
+      difference ``dy`` into ``expm1(dy)`` relative, plus each side's
+      float64 ``exp`` rounding (``EXP_ROUNDING``).
+    """
+    ens = model._model
+    W1, b1, W2, b2 = (np.asarray(p, dtype=np.float64) for p in ens._params)
+    k, d, h = W1.shape
+    X = ens._x_scaler.transform(model.encoder.encode_indices(idx))
+    X = X.astype(np.float32).astype(np.float64)
+    z = np.einsum("nd,kdh->knh", X, W1) + b1[:, None, :]
+    S = np.einsum("nd,kdh->knh", np.abs(X), np.abs(W1)) + np.abs(b1)[:, None, :]
+    if tables is None:
+        tables = len(make_sweeper(model).tables)
+    dz = S * (
+        gamma(d + 1)
+        + gamma(d + 1, EPS)
+        + (2 * tables - 1) * U32 * (1 + U32) ** (2 * tables)
+    )
+    a_up = 1.0 / (1.0 + np.exp(-(z + dz)))
+    w2 = np.abs(W2)[:, None, :]
+    dp = np.sum(w2 * (dz / 4 + 2 * SIGMOID32 * a_up), axis=2) + 2 * gamma(h + 1) * (
+        np.abs(b2)[:, None] + (1 + SIGMOID32) * np.sum(w2 * a_up, axis=2)
+    )
+    scale = float(np.ravel(ens._y_scaler.scale_)[0])
+    dy = scale * dp.mean(axis=0) + epilogue_bound(model, idx)
+    return np.expm1(dy) + EXP_ROUNDING
 
 
 class TestSelectTopM:
@@ -195,11 +314,11 @@ class TestFloat64Parity:
 
     def test_parity_across_chunk_sizes(self, fitted):
         """The 11,916-row probe swept whole (chunks of 2^14 and 2^16) and
-        in 256- and 1,024-row chunks agrees bit for bit on the builds
-        measured so far (OpenBLAS 0.3.31, SkylakeX kernels): each row's
-        float32 GEMM rounds the same whatever the row count.  That is a
-        property of the BLAS build, not of the contract, which fixes the
-        bits only for a fixed tiling."""
+        in 256- and 1,024-row chunks agrees bit for bit.  This holds by
+        construction on any BLAS build: a row's pre-activations are two
+        table rows and one float32 add, and every later step is
+        elementwise or a reduction whose order is fixed by the hidden
+        width and member count, never by the row count."""
         s = make_sweeper(fitted)
         idx = np.arange(0, fitted.space.size, 11, dtype=np.int64)
         base = s._predict(idx, chunk=1 << 14)
@@ -207,6 +326,10 @@ class TestFloat64Parity:
             np.testing.assert_array_equal(s._predict(idx, chunk=chunk), base)
 
     def test_range_work_equals_array_work(self, fitted):
+        """The whole-space sweep (the broadcast-add range form) and the
+        same indices passed as an array (the gather form) agree bit for
+        bit by construction: both add the same two float32 table
+        entries."""
         s = make_sweeper(fitted)
         lo = fitted.space.size - 40_000
         all_pred = s.predict(None)
@@ -291,3 +414,201 @@ class TestEdgeCases:
         ).fit(idx[ok], t[ok])
         assert model._get_sweeper() is None
         assert model.top_m(5).shape == (5,)
+
+
+class TestPurity:
+    """Each prediction is a pure function of (model, index)."""
+
+    @pytest.mark.parametrize("k", [1, 3, 11])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_same_bits_alone_in_a_pair_in_a_chunk_on_any_threads(
+        self, models, k, data
+    ):
+        """A configuration predicted alone, second in a pair, inside a
+        gathered window cut into chunks of any size, and inside the
+        whole-space range sweep gives the same bits, whatever the thread
+        count (pinned through the CPU-count helper)."""
+        model = models[k]
+        size = model.space.size
+        i = data.draw(st.integers(0, size - 1), label="index")
+        partner = data.draw(st.integers(0, size - 1), label="partner")
+        lo = data.draw(st.integers(max(0, i - 1500), i), label="window start")
+        hi = data.draw(st.integers(i + 1, min(size, i + 1500)), label="window stop")
+        chunk = data.draw(st.sampled_from([3, 256, 4096]), label="chunk")
+        threads = data.draw(st.sampled_from([1, 2, 3]), label="threads")
+        with mock.patch.object(sweep, "_cpu_count", lambda: threads):
+            s = make_sweeper(model)
+            alone = s.predict([i])[0]
+            pair = s.predict([partner, i])[1]
+            window = s._predict(np.arange(lo, hi, dtype=np.int64), chunk=chunk)
+            whole = s.predict(None)
+        got = np.array([pair, window[i - lo], whole[i]])
+        np.testing.assert_array_equal(got, np.full(3, alone))
+
+    def test_threads_lose_no_chunk_and_outlive_no_call(self, fitted):
+        """More threads than cores, switching every microsecond: every
+        chunk runs exactly once into its own slots, and no worker thread
+        outlives its call, so a process pool may fork right after."""
+        import sys
+        import threading
+
+        s = make_sweeper(fitted)
+        with mock.patch.object(sweep, "_cpu_count", lambda: 1):
+            want = (s.predict(None), s.top_m(500))
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(sweep, "_cpu_count", lambda: 8):
+                got = (s.predict(None), s.top_m(500))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestGemmForwardPass:
+    """The digit tables against the ensemble's own float32 GEMMs."""
+
+    @pytest.mark.parametrize("k", [1, 3, 11])
+    def test_within_derived_bound(self, models, k):
+        model = models[k]
+        rng = np.random.default_rng(30 + k)
+        idx = rng.choice(model.space.size, 20_000, replace=False).astype(np.int64)
+        want = gemm_forward(model, idx)
+        got = make_sweeper(model).predict(idx)
+        bound = gemm_bound(model, idx)
+        rel = np.abs(got - want) / want
+        assert np.all(rel <= bound), float(np.max(rel / bound))
+        # A float32-scale bound (~1e-4 here), not a vacuous one.
+        assert float(np.max(bound)) <= 1e4 * U32
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n_train,m", [(2000, 200), (500, 100)])
+    def test_tuner_pick_unchanged_by_engine(self, n_train, m):
+        """At the fig. 11 paper-anchor settings the tuned model's top-M,
+        the stage-two candidates, equals the exact selection over the
+        ensemble's GEMM forward pass on the whole space."""
+        spec = ConvolutionKernel()
+        ctx = Context(NVIDIA_K40, seed=13)
+        tuner = MLAutoTuner(
+            ctx, spec, TunerSettings(n_train=n_train, m_candidates=m)
+        )
+        tuner.tune(np.random.default_rng(13), model_seed=13)
+        everything = np.arange(spec.space.size, dtype=np.int64)
+        _, want = select_top_m(gemm_forward(tuner.model, everything), everything, m)
+        np.testing.assert_array_equal(tuner.model.top_m(m), want)
+
+
+def random_ensemble(space, k=3, seed=0):
+    """A fitted-looking ensemble with random weights over ``space``."""
+    from repro.ml.ensemble import EnsembleMLPRegressor
+
+    rng = np.random.default_rng(seed)
+    model = PerformanceModel(space, k=k)
+    X = model.encoder.encode_indices(space.sample_indices(500, rng))
+    ens = EnsembleMLPRegressor(k=k)
+    ens._x_scaler.fit(X)
+    ens._y_scaler.fit(rng.normal(-6.0, 1.5, size=(50, 1)))
+    d, h = X.shape[1], ens.hidden
+    ens._params = [
+        (rng.standard_normal((k, d, h)) / np.sqrt(d)).astype(np.float32),
+        rng.standard_normal((k, h)).astype(np.float32),
+        (rng.standard_normal((k, h)) / np.sqrt(h)).astype(np.float32),
+        rng.standard_normal(k).astype(np.float32),
+    ]
+    model._model = ens
+    return model
+
+
+class TestDigitTables:
+    @pytest.mark.parametrize(
+        "kernel, rows",
+        [
+            ("convolution", [64, 2048]),
+            ("raycasting", [512, 1280]),
+            ("stereo", [4096, 576]),
+        ],
+    )
+    def test_paper_spaces_need_two_tables(self, kernel, rows):
+        """Two tables per paper space, at most 6.2 MB for 11 x 30 weights:
+        the most a cached model holds beyond its weights."""
+        from repro.kernels import get_benchmark
+
+        cards = [p.cardinality for p in get_benchmark(kernel).space.parameters]
+        got = [int(np.prod(cards[a:b])) for a, b in sweep._digit_groups(cards)]
+        assert got == rows
+        assert sum(rows) * 11 * 30 * 4 <= 6.2e6
+
+    @pytest.mark.parametrize("wide_last", [False, True])
+    def test_any_space_compiles_and_keeps_the_contract(self, wide_last):
+        """A parameter wider than the row cap (lowered to 64 here, so a
+        100-value one-hot parameter exceeds it) gets a table of its own:
+        three tables when it sits in the middle, two when it is the least
+        significant digit.  Range and gather forms agree bit for bit, and
+        the sweep stays within the derived bound of the GEMM forward
+        pass."""
+        from repro.params import ParameterSpace, boolean, choice, pow2
+
+        params = [
+            pow2("a", 1, 16),
+            choice("wide", tuple(range(100))),
+            boolean("c"),
+            choice("d", (3, 5, 7)),
+        ]
+        if wide_last:
+            params.append(params.pop(1))
+        space = ParameterSpace(params)
+        model = random_ensemble(space)
+        with mock.patch.object(sweep, "TABLE_ROWS", 64):
+            s = make_sweeper(model)
+        assert [t.shape[2] for t in s.tables] == (
+            [30, 100] if wide_last else [5, 100, 6]
+        )
+        whole = s.predict(None)
+        probe = np.random.default_rng(1).choice(space.size, 2000, replace=False)
+        np.testing.assert_array_equal(s.predict(probe), whole[probe])
+        rel = np.abs(whole[probe] - gemm_forward(model, probe)) / whole[probe]
+        assert np.all(rel <= gemm_bound(model, probe, tables=len(s.tables)))
+
+    def test_space_within_one_table_puts_b1_on_top(self):
+        """The example custom kernel's 784 configurations fit the low
+        table; a one-row table above it holds ``b1``."""
+        from repro.params import ParameterSpace, boolean, pow2
+
+        space = ParameterSpace(
+            [
+                pow2("wg_x", 1, 64),
+                pow2("wg_y", 1, 64),
+                pow2("ept", 1, 8),
+                boolean("use_local"),
+                boolean("pad_tile"),
+            ]
+        )
+        model = random_ensemble(space, k=1)
+        s = make_sweeper(model)
+        assert [t.shape[2] for t in s.tables] == [1, space.size]
+        idx = np.arange(space.size, dtype=np.int64)
+        got, want = s.predict(idx), gemm_forward(model, idx)
+        np.testing.assert_array_equal(got, s.predict(None))
+        assert np.all(np.abs(got - want) / want <= gemm_bound(model, idx))
+
+
+class TestCachedModel:
+    def test_detach_drops_scratch_keeps_tables_and_bits(self, spec, fitted):
+        """A detached (cached) model keeps its compiled tables and drops
+        its per-thread scratch; its predictions keep their bits."""
+        model = PerformanceModel(spec.space, seed=7)
+        model._model = fitted._model
+        probe = np.arange(0, spec.space.size, 97, dtype=np.int64)
+        before = model.predict_indices(probe)
+        model.top_m(25)
+        sweeper = model._sweeper
+        tables = sweeper.tables
+        assert sweeper._scratch
+        model.detach_tracer()
+        assert model._sweeper is sweeper and sweeper.tables is tables
+        assert sweeper._scratch == []
+        np.testing.assert_array_equal(model.predict_indices(probe), before)
