@@ -31,25 +31,12 @@ from repro.core.sweep import PredictionSweeper, select_top_m
 from repro.ml.bagging import BaggedRegressor
 from repro.ml.ensemble import EnsembleMLPRegressor
 from repro.ml.metrics import mean_relative_error
-from repro.ml.mlp import MLPRegressor
 from repro.obs import NULL_TRACER
 from repro.params import ParameterSpace
 
 #: Rows per step of :meth:`PerformanceModel.predict_indices_reference`:
 #: bounds the temporaries of encoding and of a custom family's predict.
 _REFERENCE_CHUNK = 1 << 14
-
-
-def default_ann_factory(seed: Optional[int] = None) -> Callable[[], MLPRegressor]:
-    """Factory producing the paper's network (30 sigmoid hidden units),
-    varying the weight-init seed per bagging member."""
-    counter = [0 if seed is None else seed]
-
-    def make() -> MLPRegressor:
-        counter[0] += 1
-        return MLPRegressor(hidden=(30,), activation="sigmoid", seed=counter[0])
-
-    return make
 
 
 class PerformanceModel:
@@ -107,7 +94,7 @@ class PerformanceModel:
         self.freeze_tol = freeze_tol
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._custom_factory = base_factory is not None
-        self._factory = base_factory or default_ann_factory(seed)
+        self._factory = base_factory
         self._model = None
         self._sweeper: Optional[PredictionSweeper] = None
 

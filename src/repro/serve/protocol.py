@@ -162,6 +162,36 @@ def validate_tune(req: Mapping[str, Any]) -> Dict[str, Any]:
     return out
 
 
+def validate_predict(req: Mapping[str, Any]) -> Dict[str, Any]:
+    """Canonicalize a ``predict`` request: defaults applied, types checked.
+
+    Unset or null ``n_train``, ``seed`` and ``fit_mode`` take the
+    :data:`TUNE_DEFAULTS` a tune would, so a predict finds the model that
+    tune cached.  The config's names and values are checked against the
+    kernel's space by the server.
+    """
+    out = {field: TUNE_DEFAULTS[field] for field in ("n_train", "seed", "fit_mode")}
+    for field in ("kernel", "device"):
+        if not isinstance(req.get(field), str):
+            raise ProtocolError(f"predict request needs a string {field!r}")
+        out[field] = req[field]
+    if not isinstance(req.get("config"), dict):
+        raise ProtocolError(
+            "predict request needs a 'config' object of name: value"
+        )
+    out["config"] = req["config"]
+    for field in ("n_train", "seed"):
+        if req.get(field) is not None:
+            if not isinstance(req[field], int) or isinstance(req[field], bool):
+                raise ProtocolError(f"'{field}' must be an integer")
+            out[field] = req[field]
+    if req.get("fit_mode") is not None:
+        if req["fit_mode"] not in ("adaptive", "classic"):
+            raise ProtocolError("'fit_mode' must be 'adaptive' or 'classic'")
+        out["fit_mode"] = req["fit_mode"]
+    return out
+
+
 def validate_watch(req: Mapping[str, Any]) -> Dict[str, Any]:
     """Canonicalize a ``watch`` request: defaults applied, types checked.
 

@@ -534,28 +534,9 @@ class TuningServer:
     # -- predict ---------------------------------------------------------------
 
     def _handle_predict(self, conn: _Connection, req_id, req) -> None:
-        for field in ("kernel", "device"):
-            if not isinstance(req.get(field), str):
-                raise protocol.ProtocolError(
-                    f"predict request needs a string {field!r}"
-                )
-        config = req.get("config")
-        if not isinstance(config, dict):
-            raise protocol.ProtocolError(
-                "predict request needs a 'config' object of name: value"
-            )
-        fit_mode = req.get("fit_mode", protocol.TUNE_DEFAULTS["fit_mode"])
-        if fit_mode not in ("adaptive", "classic"):
-            raise protocol.ProtocolError(
-                "'fit_mode' must be 'adaptive' or 'classic'"
-            )
-        model_key = (
-            req["kernel"],
-            req["device"],
-            int(req.get("n_train", protocol.TUNE_DEFAULTS["n_train"])),
-            int(req.get("seed", protocol.TUNE_DEFAULTS["seed"])),
-            fit_mode,
-        )
+        params = protocol.validate_predict(req)
+        model_key = (params["kernel"], params["device"], params["n_train"],
+                     params["seed"], params["fit_mode"])
         model = self.models.get(model_key)
         if model is None:
             conn.send(
@@ -567,9 +548,11 @@ class TuningServer:
                 )
             )
             return
-        spec = get_benchmark(req["kernel"])
+        spec = get_benchmark(params["kernel"])
         try:
-            cfg = spec.space.config(**{k: int(v) for k, v in config.items()})
+            cfg = spec.space.config(
+                **{k: int(v) for k, v in params["config"].items()}
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise protocol.ProtocolError(f"bad config: {exc}") from None
         pred = float(model.predict_indices([cfg.index])[0])

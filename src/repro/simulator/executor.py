@@ -16,8 +16,13 @@ The *true* time of one kernel launch is assembled from:
 5. **overheads** — a fixed launch cost plus a per-work-group scheduling
    cost (the term that punishes millions of tiny work-groups, especially on
    the CPU's thread pool);
-6. **deterministic jitter** — :mod:`repro.simulator.hashing`, the
-   configuration-specific quirk the model cannot explain from features.
+6. **deterministic jitter** — :class:`~repro.simulator.hashing.JitterTable`,
+   the configuration-specific quirk the model cannot explain from features.
+
+Every term is evaluated on a :class:`~repro.simulator.workload.WorkloadBatch`,
+one array entry per configuration: :func:`execute_batch` serves whole
+sweeps, and :func:`execute` is a one-row view of the same pipeline that
+adds the occupancy limiter and raises on invalid launches.
 
 The result is a pure function: same (kernel, config, device) in, same true
 time out.  Measurement noise lives in :mod:`repro.simulator.noise`.
@@ -32,8 +37,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.simulator.device import DeviceSpec
-from repro.simulator.hashing import JitterTable, structured_jitter
-from repro.simulator.memory import MemoryCost, memory_time, memory_time_batch
+from repro.simulator.hashing import JitterTable
+from repro.simulator.memory import MemoryCost, memory_time_batch
 from repro.simulator.occupancy import (
     OccupancyBatch,
     OccupancyResult,
@@ -90,172 +95,6 @@ class ExecutionBreakdown:
     total_time: float
 
 
-def simd_utilization(profile: WorkloadProfile, device: DeviceSpec) -> float:
-    """Fraction of SIMD issue slots doing useful work.
-
-    Work-items are packed into lock-step groups of ``simd_width`` within a
-    work-group; a work-group whose size is not a multiple of the width burns
-    the ragged lanes.
-    """
-    wg = profile.workgroup_threads
-    groups = math.ceil(wg / device.simd_width)
-    return wg / (groups * device.simd_width)
-
-
-def compute_time(profile: WorkloadProfile, device: DeviceSpec) -> float:
-    """Seconds of pure arithmetic for the launch at full device throughput."""
-    util = simd_utilization(profile, device)
-    ops_per_thread = profile.flops_per_thread + (
-        LOOP_OVERHEAD_OPS * profile.loop_iterations_per_thread
-    )
-    total_ops = profile.threads * ops_per_thread / max(util, 1e-9)
-    throughput = device.peak_gflops * 1e9
-    if device.is_cpu:
-        # The compiler only vectorizes across work-items when their accesses
-        # are contiguous; otherwise execution falls back towards scalar.
-        vec = 0.30 + 0.70 * profile.coalesced_fraction
-        throughput *= vec
-    return total_ops / throughput
-
-
-def wave_quantization_factor(
-    profile: WorkloadProfile, device: DeviceSpec, occ: OccupancyResult
-) -> float:
-    """Slowdown from partial waves and compute-unit under-subscription.
-
-    With ``W`` work-groups, ``C`` compute units and ``g`` resident groups
-    per unit, execution takes ``ceil(W / (C*g))`` waves but only
-    ``W / (C*g)`` waves' worth of work exists — the ratio is the tail
-    penalty (>= 1, and large when W < C, i.e. parts of the device idle).
-    """
-    per_wave = device.compute_units * max(occ.workgroups_per_cu, 1)
-    n_wg = profile.num_workgroups
-    waves = math.ceil(n_wg / per_wave)
-    return waves * per_wave / n_wg
-
-
-def overlap_fraction(device: DeviceSpec, occ: OccupancyResult) -> float:
-    """How much of min(compute, memory) hides behind the other."""
-    if device.is_cpu:
-        return CPU_OVERLAP
-    return min(1.0, occ.occupancy / OCCUPANCY_KNEE)
-
-
-def overhead_time(profile: WorkloadProfile, device: DeviceSpec) -> float:
-    """Launch, scheduling, barrier and (CPU) work-item overheads, seconds."""
-    per_wg_us = device.wg_launch_overhead_us
-    spread = profile.num_workgroups * per_wg_us / device.compute_units
-    total = (device.kernel_launch_overhead_us + spread) * 1e-6
-
-    if device.is_cpu:
-        total += (
-            profile.threads * CPU_ITEM_OVERHEAD_NS * 1e-9 / device.compute_units
-        )
-
-    if profile.barriers_per_workgroup > 0:
-        if device.is_cpu:
-            per_wg_ns = (
-                profile.barriers_per_workgroup
-                * profile.workgroup_threads
-                * CPU_BARRIER_NS_PER_ITEM
-            )
-        else:
-            warps = math.ceil(profile.workgroup_threads / device.simd_width)
-            per_wg_ns = (
-                profile.barriers_per_workgroup * warps * GPU_BARRIER_NS_PER_WARP
-            )
-        total += profile.num_workgroups * per_wg_ns * 1e-9 / device.compute_units
-    return total
-
-
-def granularity_penalty(profile: WorkloadProfile, device: DeviceSpec) -> float:
-    """Multiplicative slowdown for very large GPU work-groups."""
-    if device.is_cpu:
-        return 1.0
-    warps = max(1, math.ceil(profile.workgroup_threads / device.simd_width))
-    return 1.0 + GPU_WG_GRANULARITY_PENALTY * math.log2(warps) ** 2
-
-
-def execute(
-    profile: WorkloadProfile,
-    device: DeviceSpec,
-    jitter_key: tuple = (),
-) -> ExecutionBreakdown:
-    """Simulate one launch; the profile must already be valid for ``device``.
-
-    ``jitter_key`` identifies the configuration (kernel name + config tuple)
-    for the deterministic micro-architectural jitter; an empty key disables
-    jitter (useful for model unit tests).
-    """
-    validate(profile, device).raise_if_invalid()
-
-    occ = compute_occupancy(profile, device)
-    comp = compute_time(profile, device)
-    mem = memory_time(profile, device)
-
-    ov = overlap_fraction(device, occ)
-    busy = max(comp, mem.total) + (1.0 - ov) * min(comp, mem.total)
-
-    # Uncovered latency: each wave pays the global round-trip it could not
-    # hide.  Only matters at very low occupancy.
-    per_wave = device.compute_units * max(occ.workgroups_per_cu, 1)
-    waves = math.ceil(profile.num_workgroups / per_wave)
-    latency = (1.0 - ov) * waves * device.global_latency_us * 1e-6
-
-    q = wave_quantization_factor(profile, device, occ) * granularity_penalty(
-        profile, device
-    )
-    ovh = overhead_time(profile, device)
-
-    jitter = 1.0
-    if jitter_key:
-        kernel_name, config_tuple = jitter_key
-        jitter = structured_jitter(
-            device.jitter_sigma,
-            device.jitter_idio_sigma,
-            device.name,
-            kernel_name,
-            tuple(config_tuple),
-        )
-        if profile.uses_driver_unroll and profile.unroll_factor > 1:
-            quirk_sigma = DRIVER_UNROLL_QUIRK_SIGMA * (
-                1.0 - device.driver_unroll_reliability
-            )
-            jitter *= structured_jitter(
-                0.0, quirk_sigma, device.name, f"{kernel_name}/unroll-quirk",
-                tuple(config_tuple),
-            )
-
-    total = (busy * q + latency + ovh) * jitter
-    return ExecutionBreakdown(
-        compute_time=comp,
-        memory=mem,
-        occupancy=occ,
-        overlap=ov,
-        wave_quantization=q,
-        overhead_time=ovh,
-        jitter=jitter,
-        total_time=total,
-    )
-
-
-def simulate_kernel_time(
-    profile: WorkloadProfile,
-    device: DeviceSpec,
-    jitter_key: tuple = (),
-) -> float:
-    """True (noise-free) execution time in seconds for one launch."""
-    return execute(profile, device, jitter_key=jitter_key).total_time
-
-
-# ---------------------------------------------------------------------------
-# Batch (vectorized) execution.  Mirrors the scalar pipeline operation for
-# operation so true times are bit-identical to per-config `execute` calls;
-# only the per-config jitter lookup stays a Python loop (over valid configs),
-# served by memoizing `JitterTable`s.
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class BatchExecution:
     """Result of :func:`execute_batch` over ``n`` configurations.
@@ -271,14 +110,19 @@ class BatchExecution:
 
 
 def simd_utilization_batch(batch: WorkloadBatch, device: DeviceSpec) -> np.ndarray:
-    """Vectorized :func:`simd_utilization`."""
+    """Fraction of SIMD issue slots doing useful work.
+
+    Work-items are packed into lock-step groups of ``simd_width`` within a
+    work-group; a work-group whose size is not a multiple of the width burns
+    the ragged lanes.
+    """
     wg = batch.workgroup_threads
     groups = np.ceil(wg / device.simd_width)
     return wg / (groups * device.simd_width)
 
 
 def compute_time_batch(batch: WorkloadBatch, device: DeviceSpec) -> np.ndarray:
-    """Vectorized :func:`compute_time`."""
+    """Seconds of pure arithmetic for the launch at full device throughput."""
     util = simd_utilization_batch(batch, device)
     ops_per_thread = batch.flops_per_thread + (
         LOOP_OVERHEAD_OPS * batch.loop_iterations_per_thread
@@ -286,6 +130,8 @@ def compute_time_batch(batch: WorkloadBatch, device: DeviceSpec) -> np.ndarray:
     total_ops = batch.threads * ops_per_thread / np.maximum(util, 1e-9)
     throughput = device.peak_gflops * 1e9
     if device.is_cpu:
+        # The compiler only vectorizes across work-items when their accesses
+        # are contiguous; otherwise execution falls back towards scalar.
         vec = 0.30 + 0.70 * batch.coalesced_fraction
         return total_ops / (throughput * vec)
     return total_ops / throughput
@@ -294,7 +140,13 @@ def compute_time_batch(batch: WorkloadBatch, device: DeviceSpec) -> np.ndarray:
 def wave_quantization_factor_batch(
     batch: WorkloadBatch, device: DeviceSpec, occ: OccupancyBatch
 ) -> np.ndarray:
-    """Vectorized :func:`wave_quantization_factor`."""
+    """Slowdown from partial waves and compute-unit under-subscription.
+
+    With ``W`` work-groups, ``C`` compute units and ``g`` resident groups
+    per unit, execution takes ``ceil(W / (C*g))`` waves but only
+    ``W / (C*g)`` waves' worth of work exists — the ratio is the tail
+    penalty (>= 1, and large when W < C, i.e. parts of the device idle).
+    """
     per_wave = device.compute_units * np.maximum(occ.workgroups_per_cu, 1)
     n_wg = batch.num_workgroups
     waves = np.ceil(n_wg / per_wave)
@@ -302,14 +154,14 @@ def wave_quantization_factor_batch(
 
 
 def overlap_fraction_batch(device: DeviceSpec, occ: OccupancyBatch) -> np.ndarray:
-    """Vectorized :func:`overlap_fraction`."""
+    """How much of min(compute, memory) hides behind the other."""
     if device.is_cpu:
         return np.full(occ.occupancy.shape[0], CPU_OVERLAP)
     return np.minimum(1.0, occ.occupancy / OCCUPANCY_KNEE)
 
 
 def overhead_time_batch(batch: WorkloadBatch, device: DeviceSpec) -> np.ndarray:
-    """Vectorized :func:`overhead_time`."""
+    """Launch, scheduling, barrier and (CPU) work-item overheads, seconds."""
     n_wg = batch.num_workgroups
     spread = n_wg * device.wg_launch_overhead_us / device.compute_units
     total = (device.kernel_launch_overhead_us + spread) * 1e-6
@@ -330,11 +182,12 @@ def overhead_time_batch(batch: WorkloadBatch, device: DeviceSpec) -> np.ndarray:
 
 
 def granularity_penalty_batch(batch: WorkloadBatch, device: DeviceSpec) -> np.ndarray:
-    """Vectorized :func:`granularity_penalty`.
+    """Multiplicative slowdown for very large GPU work-groups.
 
-    log2 is evaluated with ``math.log2`` over the (few) unique warp counts —
-    ``np.log2``'s last bit can differ from the C library's, which would break
-    bit-identity with the scalar path.
+    log2 is evaluated with ``math.log2`` over the (few) unique warp counts:
+    ``np.log2``'s last bit can differ from the C library's, and the
+    recorded true times (and ``SIMULATOR_VERSION``) rest on the C
+    library's values.
     """
     if device.is_cpu:
         return np.ones(len(batch))
@@ -356,7 +209,8 @@ def batch_jitter_factors(
     mask: np.ndarray,
 ) -> np.ndarray:
     """Deterministic jitter factor per configuration (1.0 where ``mask`` is
-    false).  Bit-identical to the jitter block of :func:`execute`."""
+    false): the device's structured and idiosyncratic quirk, times a
+    codegen quirk for launches whose unrolling the driver pragma decides."""
     factors = np.ones(len(batch))
     table = JitterTable(
         device.jitter_sigma, device.jitter_idio_sigma, device.name, kernel_name
@@ -379,6 +233,58 @@ def batch_jitter_factors(
     return factors
 
 
+@dataclass(frozen=True)
+class _LaunchTerms:
+    """Every term of a batch's launch times, one entry per configuration."""
+
+    compute: np.ndarray
+    memory: MemoryCost
+    overlap: np.ndarray
+    wave_quantization: np.ndarray
+    overhead: np.ndarray
+    jitter: np.ndarray
+    total: np.ndarray
+
+
+def _launch_terms(
+    batch: WorkloadBatch,
+    device: DeviceSpec,
+    kernel_name: Optional[str],
+    config_tuples: Optional[Sequence[tuple]],
+    valid: np.ndarray,
+) -> _LaunchTerms:
+    """The launch-time pipeline: the one definition of a true time.
+
+    Jitter is drawn where ``valid`` holds when both ``kernel_name`` and
+    ``config_tuples`` are given, and is 1.0 everywhere else.
+    """
+    occ = compute_occupancy_batch(batch, device)
+    comp = compute_time_batch(batch, device)
+    mem = memory_time_batch(batch, device)
+    mem_total = mem.total
+
+    ov = overlap_fraction_batch(device, occ)
+    busy = np.maximum(comp, mem_total) + (1.0 - ov) * np.minimum(comp, mem_total)
+
+    # Uncovered latency: each wave pays the global round-trip it could not
+    # hide.  Only matters at very low occupancy.
+    per_wave = device.compute_units * np.maximum(occ.workgroups_per_cu, 1)
+    waves = np.ceil(batch.num_workgroups / per_wave)
+    latency = (1.0 - ov) * waves * device.global_latency_us * 1e-6
+
+    q = wave_quantization_factor_batch(batch, device, occ) * granularity_penalty_batch(
+        batch, device
+    )
+    ovh = overhead_time_batch(batch, device)
+
+    if kernel_name is not None and config_tuples is not None:
+        jitter = batch_jitter_factors(batch, device, kernel_name, config_tuples, valid)
+    else:
+        jitter = np.ones(len(batch))
+    total = (busy * q + latency + ovh) * jitter
+    return _LaunchTerms(comp, mem, ov, q, ovh, jitter, total)
+
+
 def execute_batch(
     batch: WorkloadBatch,
     device: DeviceSpec,
@@ -390,34 +296,60 @@ def execute_batch(
     Unlike :func:`execute`, invalid configurations do not raise — they come
     back as NaN times with a non-zero stage code, so callers triage a full
     sweep in one call.  Passing ``kernel_name`` + ``config_tuples`` enables
-    the per-configuration deterministic jitter (the scalar path's
+    the per-configuration deterministic jitter (:func:`execute`'s
     ``jitter_key``); omitting them disables jitter, as an empty key does.
     """
     stages = validate_batch(batch, device)
     valid = stages == STAGE_OK_CODE
-
-    occ = compute_occupancy_batch(batch, device)
-    comp = compute_time_batch(batch, device)
-    mem = memory_time_batch(batch, device)
-
-    ov = overlap_fraction_batch(device, occ)
-    busy = np.maximum(comp, mem) + (1.0 - ov) * np.minimum(comp, mem)
-
-    per_wave = device.compute_units * np.maximum(occ.workgroups_per_cu, 1)
-    waves = np.ceil(batch.num_workgroups / per_wave)
-    latency = (1.0 - ov) * waves * device.global_latency_us * 1e-6
-
-    q = wave_quantization_factor_batch(batch, device, occ) * granularity_penalty_batch(
-        batch, device
-    )
-    ovh = overhead_time_batch(batch, device)
-
-    total = busy * q + latency + ovh
-    if kernel_name is not None and config_tuples is not None:
-        total = total * batch_jitter_factors(
-            batch, device, kernel_name, config_tuples, valid
-        )
+    total = _launch_terms(batch, device, kernel_name, config_tuples, valid).total
     return BatchExecution(times=np.where(valid, total, np.nan), stages=stages)
+
+
+def execute(
+    profile: WorkloadProfile,
+    device: DeviceSpec,
+    jitter_key: tuple = (),
+) -> ExecutionBreakdown:
+    """Simulate one launch; the profile must already be valid for ``device``.
+
+    ``jitter_key`` identifies the configuration (kernel name + config tuple)
+    for the deterministic micro-architectural jitter; an empty key disables
+    jitter (useful for model unit tests).  The time terms are those of
+    :func:`execute_batch` on a one-row batch; the occupancy, with the
+    resource that limits it, is
+    :func:`~repro.simulator.occupancy.compute_occupancy`'s.
+    """
+    validate(profile, device).raise_if_invalid()
+    kernel_name = config_tuples = None
+    if jitter_key:
+        kernel_name, config_tuple = jitter_key
+        config_tuples = [tuple(config_tuple)]
+    terms = _launch_terms(
+        WorkloadBatch.from_profiles([profile]),
+        device,
+        kernel_name,
+        config_tuples,
+        np.ones(1, dtype=bool),
+    )
+    return ExecutionBreakdown(
+        compute_time=float(terms.compute[0]),
+        memory=terms.memory.row(0),
+        occupancy=compute_occupancy(profile, device),
+        overlap=float(terms.overlap[0]),
+        wave_quantization=float(terms.wave_quantization[0]),
+        overhead_time=float(terms.overhead[0]),
+        jitter=float(terms.jitter[0]),
+        total_time=float(terms.total[0]),
+    )
+
+
+def simulate_kernel_time(
+    profile: WorkloadProfile,
+    device: DeviceSpec,
+    jitter_key: tuple = (),
+) -> float:
+    """True (noise-free) execution time in seconds for one launch."""
+    return execute(profile, device, jitter_key=jitter_key).total_time
 
 
 class KernelExecutor:

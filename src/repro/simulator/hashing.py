@@ -36,38 +36,16 @@ def unit_uniform(*parts) -> float:
     return stable_hash64(*parts) / float(1 << 64)
 
 
-def unit_normal(*parts) -> float:
-    """Deterministic standard-normal variate keyed on ``parts``.
-
-    Box-Muller on two independent sub-hashes; clipped to ±4 sigma so a
-    single unlucky key cannot produce an absurd outlier.
-    """
-    u1 = unit_uniform(*parts, "u1")
-    u2 = unit_uniform(*parts, "u2")
-    u1 = max(u1, 1e-12)
-    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    return max(-4.0, min(4.0, z))
-
-
-def lognormal_factor(sigma: float, *parts) -> float:
-    """Deterministic multiplicative jitter ``exp(sigma * N(0,1))``."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if sigma == 0.0:
-        return 1.0
-    return math.exp(sigma * unit_normal(*parts))
-
-
 class HashPrefix:
     """A blake2b state pre-fed with a constant key prefix.
 
     Batch evaluation hashes thousands of keys that share a long constant
     prefix (device name, kernel name, component label) and differ only in
     the trailing configuration tuple.  Feeding the prefix once and
-    ``copy()``-ing the hash state per suffix produces bit-identical values
-    to :func:`unit_uniform` / :func:`unit_normal` at a fraction of the
-    cost — ``copy`` duplicates the internal state without re-hashing the
-    prefix bytes.
+    ``copy()``-ing the hash state per suffix keys each draw on
+    ``(*prefix, *suffix)`` exactly as :func:`stable_hash64` would, at a
+    fraction of the cost — ``copy`` duplicates the internal state without
+    re-hashing the prefix bytes.
     """
 
     __slots__ = ("_state",)
@@ -91,7 +69,13 @@ class HashPrefix:
         return self._digest(suffix) / float(1 << 64)
 
     def normal(self, *suffix) -> float:
-        """``unit_normal(*prefix, *suffix)``, bit-identical."""
+        """Deterministic standard-normal variate keyed on
+        ``(*prefix, *suffix)``.
+
+        Box-Muller on two independent sub-hashes (the key extended by
+        ``"u1"`` and by ``"u2"``); clipped to ±4 sigma so a single unlucky
+        key cannot produce an absurd outlier.
+        """
         base = self._state.copy()
         for p in suffix:
             base.update(repr(p).encode("utf-8"))
@@ -108,15 +92,27 @@ class HashPrefix:
 
 
 class JitterTable:
-    """Memoizing batch evaluator of :func:`structured_jitter`.
+    """Two-component deterministic jitter of one ``(device, kernel)`` pair.
 
-    One table serves one ``(device, kernel)`` pair.  The three structured
-    group draws are keyed on *parameter subgroups*, so across a large batch
-    of configurations only a handful of distinct group values exist — the
-    table caches each group normal the first time it is seen.  The
-    idiosyncratic draw is unique per configuration but reuses a
-    pre-hashed key prefix.  ``factor()`` is bit-identical to
-    :func:`structured_jitter` for the same arguments.
+    *Structured* component: interaction quirks keyed on small parameter
+    subgroups — work-group shape ``(cfg[0], cfg[1])``, per-thread blocking
+    ``(cfg[2], cfg[3])``, and the remaining switches (all three benchmarks
+    order their parameters this way).  These are deterministic functions of
+    a few features, so a learned model *can* absorb them given enough
+    training data — they are what makes the error curves of Figs. 4-6 keep
+    improving with sample count.
+
+    *Idiosyncratic* component: keyed on the full configuration; no feature
+    set explains it.  It is the irreducible error floor, and the reason
+    even a good tuner lands a few percent off the global optimum.
+
+    The three group draws are averaged with ``1/sqrt(3)`` so
+    ``sigma_structured`` is the total structured standard deviation.
+
+    Across a large batch of configurations only a handful of distinct
+    group values exist, so the table caches each group normal the first
+    time it is seen; the idiosyncratic draw is unique per configuration
+    but reuses a pre-hashed key prefix.
     """
 
     def __init__(
@@ -146,8 +142,8 @@ class JitterTable:
         return z
 
     def factor(self, config_tuple: tuple) -> float:
-        """Jitter factor for one configuration (bit-identical to
-        ``structured_jitter(ss, si, device, kernel, config_tuple)``)."""
+        """Jitter factor of one configuration:
+        ``exp(sigma_structured * z_struct + sigma_idiosyncratic * z_idio)``."""
         z_struct = (
             self._group_normal(0, config_tuple[0:2])
             + self._group_normal(1, config_tuple[2:4])
@@ -292,7 +288,7 @@ def keyed_uniform_many(h: np.ndarray) -> np.ndarray:
 
 def keyed_normal(h: int) -> float:
     """Deterministic standard normal from one folded key, clipped to
-    ±4 sigma like :func:`unit_normal` (scalar).
+    ±4 sigma like :meth:`HashPrefix.normal` (scalar).
 
     Transcendentals go through the numpy ufuncs (not ``math.*``) so the
     scalar value is bit-equal to :func:`keyed_normal_many` — libm and
@@ -310,38 +306,3 @@ def keyed_normal_many(h: np.ndarray) -> np.ndarray:
     u2 = unit_open(splitmix64(h ^ _U64(_SALT_N2)))
     z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
     return np.clip(z, -4.0, 4.0)
-
-
-def structured_jitter(
-    sigma_structured: float,
-    sigma_idiosyncratic: float,
-    device_name: str,
-    kernel_name: str,
-    config_tuple: tuple,
-) -> float:
-    """Two-component deterministic jitter for one configuration.
-
-    *Structured* component: interaction quirks keyed on small parameter
-    subgroups — work-group shape ``(cfg[0], cfg[1])``, per-thread blocking
-    ``(cfg[2], cfg[3])``, and the remaining switches (all three benchmarks
-    order their parameters this way).  These are deterministic functions of
-    a few features, so a learned model *can* absorb them given enough
-    training data — they are what makes the error curves of Figs. 4-6 keep
-    improving with sample count.
-
-    *Idiosyncratic* component: keyed on the full configuration; no feature
-    set explains it.  It is the irreducible error floor, and the reason
-    even a good tuner lands a few percent off the global optimum.
-
-    The three group draws are averaged with ``1/sqrt(3)`` so
-    ``sigma_structured`` is the total structured standard deviation.
-    """
-    if sigma_structured < 0 or sigma_idiosyncratic < 0:
-        raise ValueError("sigmas must be >= 0")
-    groups = (config_tuple[0:2], config_tuple[2:4], config_tuple[4:])
-    z_struct = sum(
-        unit_normal(device_name, kernel_name, f"group{i}", g)
-        for i, g in enumerate(groups)
-    ) / math.sqrt(len(groups))
-    z_idio = unit_normal(device_name, kernel_name, "idio", config_tuple)
-    return math.exp(sigma_structured * z_struct + sigma_idiosyncratic * z_idio)

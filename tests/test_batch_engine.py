@@ -8,6 +8,11 @@ consumption, same cache and DB contents.  Everything downstream (search
 baselines, the tuner, campaigns, the oracle) relies on this equivalence,
 so it is pinned here across all three kernels, CPU and GPU devices,
 duplicates, cache hits and DB hits.
+
+Under the engine, the simulator's one launch-time pipeline must match the
+per-launch formulas kept in ``tests/scalar_simulator.py``: workload
+columns, batch true times, and every term of a one-launch ``execute()``,
+bit for bit on all six device models.
 """
 
 import dataclasses
@@ -22,12 +27,17 @@ from repro.runtime import Context
 from repro.simulator import (
     AMD_HD7970,
     INTEL_I7_3770,
+    NVIDIA_C2070,
+    NVIDIA_GTX980,
     NVIDIA_K40,
     execute_batch,
+    validate,
     validate_batch,
 )
-from repro.simulator.executor import KernelExecutor
+from repro.simulator.executor import execute
+from repro.simulator.extra_devices import XEON_PHI_5110P
 from repro.simulator.workload import WorkloadBatch
+from tests import scalar_simulator
 from tests.serial_reference import SerialReference
 
 CASES = [
@@ -35,6 +45,18 @@ CASES = [
     ("convolution-amd", ConvolutionKernel, AMD_HD7970, 3),
     ("raycasting", RaycastingKernel, INTEL_I7_3770, 1),
     ("stereo", StereoKernel, NVIDIA_K40, 5),
+]
+
+#: The simulator-path cases: ``CASES`` plus every kernel on the other
+#: three device models, so each of the six models is covered.
+SIM_CASES = CASES + [
+    (f"{cls.name}-{key}", cls, device, 1)
+    for key, device in (
+        ("c2070", NVIDIA_C2070),
+        ("gtx980", NVIDIA_GTX980),
+        ("phi", XEON_PHI_5110P),
+    )
+    for cls in (ConvolutionKernel, RaycastingKernel, StereoKernel)
 ]
 
 _SPECS = {}
@@ -143,8 +165,12 @@ class TestBatchEqualsScalar:
         )
 
 
+def same_bits(a: float, b: float) -> bool:
+    return float(a).hex() == float(b).hex()
+
+
 class TestBatchSimulatorPath:
-    @pytest.mark.parametrize("name,cls,device,repeats", CASES)
+    @pytest.mark.parametrize("name,cls,device,repeats", SIM_CASES)
     def test_workload_batch_matches_scalar_profiles(
         self, name, cls, device, repeats
     ):
@@ -162,7 +188,7 @@ class TestBatchSimulatorPath:
             else:
                 assert a == b, f"field {f.name} differs"
 
-    @pytest.mark.parametrize("name,cls,device,repeats", CASES)
+    @pytest.mark.parametrize("name,cls,device,repeats", SIM_CASES)
     def test_execute_batch_matches_scalar_executor(
         self, name, cls, device, repeats
     ):
@@ -174,13 +200,41 @@ class TestBatchSimulatorPath:
         be = execute_batch(wb, device, kernel_name=spec.name, config_tuples=tuples)
         stages = validate_batch(wb, device)
         assert np.array_equal(be.stages, stages)
-        executor = KernelExecutor(device, spec.name)
         for p, i in enumerate(indices):
             profile = spec.workload(spec.space[int(i)], device)
             if stages[p] != 0:
                 assert np.isnan(be.times[p])
                 continue
-            assert be.times[p] == executor.time(profile, tuples[p])
+            ref = scalar_simulator.execute(profile, device, (spec.name, tuples[p]))
+            assert same_bits(be.times[p], ref.total_time)
+
+    @pytest.mark.parametrize("name,cls,device,repeats", SIM_CASES)
+    def test_execute_matches_scalar_reference_term_by_term(
+        self, name, cls, device, repeats
+    ):
+        """``execute()`` is a one-row view of the batch pipeline; every
+        term it reports equals the per-launch formula's, bit for bit."""
+        spec = make_spec(cls)
+        indices = spec.space.sample_indices(200, np.random.default_rng(37))
+        n_valid = 0
+        for i in indices:
+            config = spec.space[int(i)]
+            profile = spec.workload(config, device)
+            if not validate(profile, device).valid:
+                continue
+            n_valid += 1
+            key = (spec.name, spec.config_tuple(config))
+            got = execute(profile, device, jitter_key=key)
+            ref = scalar_simulator.execute(profile, device, jitter_key=key)
+            for term in ("compute_time", "overlap", "wave_quantization",
+                         "overhead_time", "jitter", "total_time"):
+                assert same_bits(getattr(got, term), getattr(ref, term)), term
+            for space in dataclasses.fields(ref.memory):
+                assert same_bits(
+                    getattr(got.memory, space.name), getattr(ref.memory, space.name)
+                ), space.name
+            assert got.occupancy == ref.occupancy
+        assert n_valid > 0
 
     def test_sigma_zero_device_consumes_no_probe_draws(self):
         spec = make_spec(ConvolutionKernel)

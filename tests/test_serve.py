@@ -389,6 +389,25 @@ class TestServer:
         assert p2["predicted_time_s"] == p["predicted_time_s"]
         assert server.counters["campaigns"] == campaigns
 
+    @pytest.mark.parametrize("field,value", [
+        *((f, v) for f in ("n_train", "seed")
+          for v in ("abc", [1], {"a": 1}, 1.9, True)),
+        ("kernel", 3),
+        ("device", None),
+        ("config", [1]),
+        ("fit_mode", "fast"),
+    ])
+    def test_malformed_predict_gets_typed_error(self, daemon, field, value):
+        _, port = daemon
+        with TuningClient("127.0.0.1", port) as c:
+            c.send({"op": "predict", "id": "p", "kernel": "convolution",
+                    "device": "nvidia", "config": {"wg_x": 32},
+                    field: value})
+            reply = c.recv()
+            assert reply["type"] == "error"
+            assert repr(field) in reply["error"]
+            assert c.ping()
+
     def test_predict_without_model_is_an_error(self, daemon):
         _, port = daemon
         with TuningClient("127.0.0.1", port) as c:

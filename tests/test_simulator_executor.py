@@ -1,22 +1,30 @@
-"""Tests for the execution-time model."""
+"""Tests for the execution-time model (each term on a one-row batch)."""
 
 import pytest
 
 from repro.simulator.devices import AMD_HD7970, INTEL_I7_3770, NVIDIA_K40
 from repro.simulator.executor import (
     KernelExecutor,
-    compute_time,
+    compute_time_batch,
     execute,
-    granularity_penalty,
-    overhead_time,
-    overlap_fraction,
-    simd_utilization,
+    granularity_penalty_batch,
+    overhead_time_batch,
+    overlap_fraction_batch,
+    simd_utilization_batch,
     simulate_kernel_time,
-    wave_quantization_factor,
+    wave_quantization_factor_batch,
 )
 from repro.simulator.occupancy import compute_occupancy
 from repro.simulator.validity import InvalidConfig
 from repro.simulator.workload import WorkloadProfile
+from tests.one_row import one_row
+
+simd_utilization = one_row(simd_utilization_batch)
+compute_time = one_row(compute_time_batch)
+wave_quantization_factor = one_row(wave_quantization_factor_batch)
+overlap_fraction = one_row(overlap_fraction_batch)
+overhead_time = one_row(overhead_time_batch)
+granularity_penalty = one_row(granularity_penalty_batch)
 
 
 def profile(**kw):

@@ -1,18 +1,28 @@
-"""Tests for the memory-hierarchy cost model."""
+"""Tests for the memory-hierarchy cost model (each space on a one-row
+batch)."""
 
 import pytest
 
 from repro.simulator.devices import AMD_HD7970, INTEL_I7_3770, NVIDIA_K40
 from repro.simulator.memory import (
-    cache_hit_fraction,
-    constant_memory_time,
-    global_memory_time,
-    image_memory_time,
-    local_memory_time,
-    memory_time,
-    spill_memory_time,
+    cache_hit_fraction_batch,
+    constant_memory_time_batch,
+    global_memory_time_batch,
+    image_memory_time_batch,
+    local_memory_time_batch,
+    memory_time_batch,
+    spill_memory_time_batch,
 )
 from repro.simulator.workload import WorkloadProfile
+from tests.one_row import one_row
+
+cache_hit_fraction = one_row(cache_hit_fraction_batch)
+constant_memory_time = one_row(constant_memory_time_batch)
+global_memory_time = one_row(global_memory_time_batch)
+image_memory_time = one_row(image_memory_time_batch)
+local_memory_time = one_row(local_memory_time_batch)
+memory_time = one_row(memory_time_batch)
+spill_memory_time = one_row(spill_memory_time_batch)
 
 
 def profile(**kw):

@@ -7,10 +7,9 @@ import pytest
 
 from repro.simulator.devices import INTEL_I7_3770, NVIDIA_K40
 from repro.simulator.hashing import (
-    lognormal_factor,
+    HashPrefix,
+    JitterTable,
     stable_hash64,
-    structured_jitter,
-    unit_normal,
     unit_uniform,
 )
 from repro.simulator.noise import CostLedger, MeasurementModel, compile_time
@@ -35,40 +34,31 @@ class TestStableHash:
             assert 0.0 <= u < 1.0
 
     def test_unit_normal_clipped_and_standardish(self):
-        zs = np.array([unit_normal("key", i) for i in range(2000)])
+        zs = np.array([HashPrefix("key").normal(i) for i in range(2000)])
         assert np.all(np.abs(zs) <= 4.0)
         assert abs(zs.mean()) < 0.1
         assert abs(zs.std() - 1.0) < 0.1
 
 
 class TestJitterFactors:
-    def test_lognormal_identity_at_zero_sigma(self):
-        assert lognormal_factor(0.0, "x") == 1.0
-
-    def test_lognormal_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            lognormal_factor(-0.1, "x")
-
     def test_structured_jitter_deterministic(self):
-        a = structured_jitter(0.1, 0.05, "dev", "conv", (1, 2, 3, 4, 0, 1))
-        b = structured_jitter(0.1, 0.05, "dev", "conv", (1, 2, 3, 4, 0, 1))
+        a = JitterTable(0.1, 0.05, "dev", "conv").factor((1, 2, 3, 4, 0, 1))
+        b = JitterTable(0.1, 0.05, "dev", "conv").factor((1, 2, 3, 4, 0, 1))
         assert a == b
 
     def test_structured_component_shared_within_group(self):
         """Configs sharing all subgroups differ only by the idiosyncratic
         part; with sigma_idio=0 they get identical jitter."""
-        a = structured_jitter(0.1, 0.0, "dev", "conv", (1, 2, 3, 4, 0, 1))
-        b = structured_jitter(0.1, 0.0, "dev", "conv", (1, 2, 3, 4, 0, 1))
+        a = JitterTable(0.1, 0.0, "dev", "conv").factor((1, 2, 3, 4, 0, 1))
+        b = JitterTable(0.1, 0.0, "dev", "conv").factor((1, 2, 3, 4, 0, 1))
         assert a == b
         # Changing a switch moves only the third group's draw.
-        c = structured_jitter(0.1, 0.0, "dev", "conv", (1, 2, 3, 4, 1, 1))
+        c = JitterTable(0.1, 0.0, "dev", "conv").factor((1, 2, 3, 4, 1, 1))
         assert c != a
 
     def test_structured_jitter_magnitude(self):
-        vals = [
-            structured_jitter(0.1, 0.05, "dev", "conv", (i, i + 1, i + 2, i % 3, 0))
-            for i in range(500)
-        ]
+        table = JitterTable(0.1, 0.05, "dev", "conv")
+        vals = [table.factor((i, i + 1, i + 2, i % 3, 0)) for i in range(500)]
         logs = np.log(vals)
         total = math.sqrt(0.1**2 + 0.05**2)
         assert abs(logs.std() - total) < 0.03
