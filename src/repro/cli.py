@@ -437,21 +437,6 @@ def cmd_bench_report(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    from repro.serve.server import main as serve_main
-
-    forwarded = ["--host", args.host, "--port", str(args.port),
-                 "--max-pending", str(args.max_pending),
-                 "--workers", str(args.workers)]
-    if args.stdio:
-        forwarded += ["--stdio"]
-    if args.client_budget is not None:
-        forwarded += ["--client-budget", str(args.client_budget)]
-    if args.oracle_store:
-        forwarded += ["--oracle-store", args.oracle_store]
-    return serve_main(forwarded)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="repro",
@@ -620,27 +605,12 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments", help="reproduction harness", parents=[run_all.flags()]
     ).set_defaults(fn=run_all.run_args)
 
-    srv = sub.add_parser(
-        "serve", help="line-JSON tuning daemon (see docs/serving.md)"
+    # The daemon parses its own flags (`repro.serve.server.main`): main()
+    # hands it every argument after `serve`, `-h` included.
+    sub.add_parser(
+        "serve", help="line-JSON tuning daemon (see docs/serving.md)",
+        add_help=False,
     )
-    srv.add_argument("--host", default="127.0.0.1")
-    srv.add_argument("--port", type=int, default=0,
-                     help="TCP port (0 binds an ephemeral port, printed "
-                          "on startup)")
-    srv.add_argument("--stdio", action="store_true",
-                     help="serve one client over stdin/stdout instead of TCP")
-    srv.add_argument("--max-pending", type=int, default=8,
-                     help="concurrent campaigns admitted before requests "
-                          "are rejected with a retry hint")
-    srv.add_argument("--workers", type=int, default=4,
-                     help="campaign worker threads")
-    srv.add_argument("--client-budget", type=float, default=None,
-                     help="per-client simulated-second allowance "
-                          "(default: unlimited)")
-    srv.add_argument("--oracle-store", default=None,
-                     help="persistent ground-truth table directory shared "
-                          "across requests")
-    srv.set_defaults(fn=cmd_serve)
 
     rep = sub.add_parser(
         "bench-report",
@@ -654,7 +624,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args, rest = ap.parse_known_args(argv)
+    if args.command == "serve":  # imported here: asyncio only for serve
+        from repro.serve.server import main as serve_main
+
+        return serve_main(rest)
+    if rest:
+        ap.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.fn(args)
 
 

@@ -332,11 +332,11 @@ class Measurer:
         ``submit(measurer, indices) -> MeasurementSet`` method).  When
         set, :meth:`measure_batch` (and so :meth:`measure`, a one-position
         batch) hands the batch to the broker instead of executing it
-        inline — the hook the ``repro.serve`` daemon uses to funnel
-        batches from concurrent campaigns through one measurement
-        pipeline.  The broker calls back into :meth:`measure_batch_direct`
-        and runs one measurer's batches in submission order, so brokered
-        results equal inline ones by construction.
+        inline — the hook the ``repro.serve`` daemon uses to run batches
+        from concurrent campaigns one at a time, in arrival order.  The
+        broker calls back into :meth:`measure_batch_direct` on the
+        submitting thread, so one measurer's batches run in submission
+        order and brokered results equal inline ones by construction.
     """
 
     def __init__(
@@ -426,7 +426,7 @@ class Measurer:
 
         With a ``batcher`` attached the batch is submitted to it instead
         (see the constructor); the broker executes it through
-        :meth:`measure_batch_direct` on its own schedule.
+        :meth:`measure_batch_direct` when its turn comes.
         """
         if self.batcher is not None:
             return self.batcher.submit(self, indices)

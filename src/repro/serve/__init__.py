@@ -1,14 +1,15 @@
 """``repro.serve`` — the tuning daemon.
 
 One long-lived process owns the simulator, the oracle/model caches and
-the measurement pump, and answers tuning requests from many clients over
-a line-JSON protocol.  See docs/serving.md for the protocol and
+the measurement broker, and answers tuning requests from many clients
+over a line-JSON protocol.  See docs/serving.md for the protocol and
 operational story.
 
 Layout:
 
 * :mod:`repro.serve.protocol` — wire format (requests, responses).
-* :mod:`repro.serve.broker` — the shared measurement pump.
+* :mod:`repro.serve.broker` — the shared measurement turn: one batch at
+  a time, first come, first served, on the campaign's own thread.
 * :mod:`repro.serve.state` — watch identity, caches, client budgets.
 * :mod:`repro.serve.campaigns` — campaign execution through
   :func:`~repro.core.request.run_tune`, the CLI ``tune`` path.

@@ -3,8 +3,10 @@
 A fresh tune or watch is bit-identical to ``repro tune`` or
 ``repro watch`` with the same :class:`~repro.core.request.TuneRequest`:
 all of them call :func:`~repro.core.request.run_tune`.  The daemon adds
-only what leaves the numbers alone — the shared measurement broker (FIFO
-through ``measure_batch_direct``) and an optional streaming tracer.
+only what leaves the numbers alone — the shared measurement broker (each
+batch waits for its first-come-first-served turn, then runs through
+``measure_batch_direct`` on the campaign thread) and an optional
+streaming tracer.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ def run_campaign(
     """Execute one tune or watch; returns payload + accounting + the model.
 
     Runs synchronously (the server dispatches it to a worker thread).
-    ``batcher`` routes every measurement batch (a watch's probes too)
-    through the shared broker; ``sink`` receives the campaign's trace
+    ``batcher`` makes every measurement batch (a watch's probes too)
+    take its turn at the shared broker; ``sink`` receives the campaign's trace
     records as they happen; ``register`` receives the campaign's
     :class:`Measurer` before tuning starts, so the server's ``stats`` op
     can report the live per-campaign ``failure_breakdown()`` while the

@@ -15,7 +15,9 @@ Requests
 ``{"op": "predict", "kernel": ..., "device": ..., "n_train": ..., "seed":
 ..., "config": {...name: value...}}``
     Predict one configuration's time from the shared model cache (a model
-    is cached by every fresh campaign).
+    is cached by every fresh campaign).  Config values are integers.
+``{"op": "truth", "kernel": ..., "device": ..., "index": 12345}``
+    Ground-truth time of one configuration, from the shared oracle.
 ``{"op": "watch", "id": "w1", "kernel": ..., "device": ..., "n_train":
 400, "m_candidates": 40, "seed": 0, "steps": 120, "interval_s": 30.0,
 "retune_window": 32, "drift": "thermal-throttle", "faults": null,
@@ -90,6 +92,22 @@ class ProtocolError(ValueError):
     """A request the server cannot interpret (reported, never fatal)."""
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``int`` but not ``bool`` (``true`` is not 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _kernel_device(req: Mapping[str, Any], op: str) -> Dict[str, Any]:
+    """The request's ``kernel`` and ``device``: non-empty strings."""
+    out = {}
+    for field in ("kernel", "device"):
+        value = req.get(field)
+        if not isinstance(value, str) or not value:
+            raise ProtocolError(f"{op} request needs a string {field!r}")
+        out[field] = value
+    return out
+
+
 def _strict(value):
     """Keep every line strict JSON: non-finite floats become strings."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -131,15 +149,10 @@ def validate_tune(req: Mapping[str, Any]) -> Dict[str, Any]:
     fit_mode, strategy, n_train against the bagging folds) are checked by
     the :class:`~repro.core.request.TuneRequest` the server builds.
     """
-    out = dict(TUNE_DEFAULTS)
-    for field in ("kernel", "device"):
-        value = req.get(field)
-        if not isinstance(value, str) or not value:
-            raise ProtocolError(f"tune request needs a string '{field}'")
-        out[field] = value
+    out = {**TUNE_DEFAULTS, **_kernel_device(req, "tune")}
     for field in ("n_train", "m_candidates", "seed"):
         if field in req and req[field] is not None:
-            if not isinstance(req[field], int) or isinstance(req[field], bool):
+            if not _is_int(req[field]):
                 raise ProtocolError(f"'{field}' must be an integer")
             out[field] = req[field]
     if out["n_train"] < 1 or out["m_candidates"] < 1:
@@ -167,22 +180,24 @@ def validate_predict(req: Mapping[str, Any]) -> Dict[str, Any]:
 
     Unset or null ``n_train``, ``seed`` and ``fit_mode`` take the
     :data:`TUNE_DEFAULTS` a tune would, so a predict finds the model that
-    tune cached.  The config's names and values are checked against the
-    kernel's space by the server.
+    tune cached.  Every config value must be an integer; the config's
+    names and value ranges are checked against the kernel's space by the
+    server.
     """
     out = {field: TUNE_DEFAULTS[field] for field in ("n_train", "seed", "fit_mode")}
-    for field in ("kernel", "device"):
-        if not isinstance(req.get(field), str):
-            raise ProtocolError(f"predict request needs a string {field!r}")
-        out[field] = req[field]
+    out.update(_kernel_device(req, "predict"))
     if not isinstance(req.get("config"), dict):
         raise ProtocolError(
             "predict request needs a 'config' object of name: value"
         )
+    for name, value in req["config"].items():
+        if not _is_int(value):
+            raise ProtocolError(
+                f"'config' value {name!r} must be an integer")
     out["config"] = req["config"]
     for field in ("n_train", "seed"):
         if req.get(field) is not None:
-            if not isinstance(req[field], int) or isinstance(req[field], bool):
+            if not _is_int(req[field]):
                 raise ProtocolError(f"'{field}' must be an integer")
             out[field] = req[field]
     if req.get("fit_mode") is not None:
@@ -192,21 +207,26 @@ def validate_predict(req: Mapping[str, Any]) -> Dict[str, Any]:
     return out
 
 
+def validate_truth(req: Mapping[str, Any]) -> Dict[str, Any]:
+    """Type-check a ``truth`` request: string ``kernel`` and ``device``,
+    integer ``index``.  The server checks the names and the index range."""
+    out = _kernel_device(req, "truth")
+    if not _is_int(req.get("index")):
+        raise ProtocolError("truth request needs an integer 'index'")
+    out["index"] = req["index"]
+    return out
+
+
 def validate_watch(req: Mapping[str, Any]) -> Dict[str, Any]:
     """Canonicalize a ``watch`` request: defaults applied, types checked.
 
     Same division of labour as :func:`validate_tune`: shape here, values
     in the :class:`~repro.core.request.TuneRequest` the server builds.
     """
-    out = dict(WATCH_DEFAULTS)
-    for field in ("kernel", "device"):
-        value = req.get(field)
-        if not isinstance(value, str) or not value:
-            raise ProtocolError(f"watch request needs a string '{field}'")
-        out[field] = value
+    out = {**WATCH_DEFAULTS, **_kernel_device(req, "watch")}
     for field in ("n_train", "m_candidates", "seed", "steps", "retune_window"):
         if field in req and req[field] is not None:
-            if not isinstance(req[field], int) or isinstance(req[field], bool):
+            if not _is_int(req[field]):
                 raise ProtocolError(f"'{field}' must be an integer")
             out[field] = req[field]
     if out["n_train"] < 1 or out["m_candidates"] < 1:

@@ -6,17 +6,20 @@ clients over a line-JSON protocol (TCP, or stdin/stdout with
 requests are redundant: a fleet asking "best convolution config for the
 K40" should pay for *one* campaign, not N.
 
-Architecture (one asyncio loop + two kinds of worker thread):
+Architecture (two kinds of thread: one asyncio loop and the campaign
+workers):
 
-* connection handlers (async) — parse requests, run admission control,
-  and subscribe clients to campaigns; every write goes through a
-  per-connection queue so streamed events and results never interleave.
+* connection handlers (async, on the loop) — parse requests, run
+  admission control, and subscribe clients to campaigns; every write
+  goes through a per-connection queue so streamed events and results
+  never interleave.
 * campaign threads — a small ``ThreadPoolExecutor`` runs
   :func:`~repro.serve.campaigns.run_campaign` for a tune or a watch;
-  results come back to the loop via ``call_soon_threadsafe``.
-* the measurement broker thread — every campaign's measurements, a
-  watch's monitoring probes included, flow through one
-  :class:`~repro.serve.broker.MeasurementBroker` pump.
+  results come back to the loop via ``call_soon_threadsafe``.  Every
+  measurement batch, a watch's monitoring probes included, waits for its
+  first-come-first-served turn at the shared
+  :class:`~repro.serve.broker.MeasurementBroker` and then runs on the
+  campaign thread that submitted it.
 
 Request lifecycle: build the :class:`~repro.core.request.TuneRequest`
 (a bad value gets ``error`` before any ``ack``); result-cache hit ->
@@ -164,7 +167,6 @@ class TuningServer:
     async def start(self) -> int:
         """Bind and start accepting; returns the bound port."""
         self.loop = asyncio.get_running_loop()
-        self.broker.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -219,7 +221,6 @@ class TuningServer:
     async def run_stdio(self) -> None:
         """Serve one client over stdin/stdout (no sockets; e.g. an IDE)."""
         self.loop = asyncio.get_running_loop()
-        self.broker.start()
 
         class _StdoutWriter:
             def write(self, data: bytes) -> None:
@@ -238,13 +239,9 @@ class TuningServer:
             await self._dispatch_line(conn, line.encode("utf-8"))
             if self._stopped.is_set():
                 break
-        self.draining = True
-        while self.inflight:
-            await asyncio.sleep(0.01)
+        await self.shutdown()  # in-flight results go out first
         conn.outbox.put_nowait(None)
         await writer_task
-        self._pool.shutdown(wait=True)
-        self.broker.stop()
 
     async def _dispatch_line(self, conn: _Connection, line: bytes) -> None:
         self.counters["requests"] += 1
@@ -550,10 +547,8 @@ class TuningServer:
             return
         spec = get_benchmark(params["kernel"])
         try:
-            cfg = spec.space.config(
-                **{k: int(v) for k, v in params["config"].items()}
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            cfg = spec.space.config(**params["config"])
+        except ValueError as exc:
             raise protocol.ProtocolError(f"bad config: {exc}") from None
         pred = float(model.predict_indices([cfg.index])[0])
         conn.send(
@@ -572,17 +567,14 @@ class TuningServer:
         """Ground-truth time of one configuration, via the *shared*
         oracle provider: concurrent identical asks compute once, and a
         disk-backed store persists the entry across daemon restarts."""
-        kernel, device_key = req.get("kernel"), req.get("device")
+        params = protocol.validate_truth(req)
+        kernel, device_key, index = (
+            params["kernel"], params["device"], params["index"]
+        )
         if kernel not in BENCHMARKS:
             raise protocol.ProtocolError(f"unknown kernel {kernel!r}")
         if device_key not in DEVICES:
             raise protocol.ProtocolError(f"unknown device {device_key!r}")
-        try:
-            index = int(req["index"])
-        except (KeyError, TypeError, ValueError):
-            raise protocol.ProtocolError(
-                "truth request needs an integer 'index'"
-            ) from None
         spec = get_benchmark(kernel)
         if not 0 <= index < spec.space.size:
             raise protocol.ProtocolError(

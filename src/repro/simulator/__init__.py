@@ -57,7 +57,6 @@ from repro.simulator.faults import (
 )
 from repro.simulator.executor import (
     BatchExecution,
-    KernelExecutor,
     execute_batch,
     simulate_kernel_time,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "NVIDIA_C2070",
     "NVIDIA_GTX980",
     "get_device",
-    "KernelExecutor",
     "simulate_kernel_time",
     "execute_batch",
     "BatchExecution",

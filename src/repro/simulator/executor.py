@@ -350,24 +350,3 @@ def simulate_kernel_time(
 ) -> float:
     """True (noise-free) execution time in seconds for one launch."""
     return execute(profile, device, jitter_key=jitter_key).total_time
-
-
-class KernelExecutor:
-    """Bound (device, kernel-name) executor with a stable jitter namespace.
-
-    Thin convenience over :func:`execute` used by the runtime layer: the
-    jitter key is ``(kernel_name, config_tuple)`` so distinct kernels on the
-    same device draw independent quirks.
-    """
-
-    def __init__(self, device: DeviceSpec, kernel_name: str):
-        self.device = device
-        self.kernel_name = kernel_name
-
-    def run(self, profile: WorkloadProfile, config_tuple: tuple) -> ExecutionBreakdown:
-        return execute(
-            profile, self.device, jitter_key=(self.kernel_name, config_tuple)
-        )
-
-    def time(self, profile: WorkloadProfile, config_tuple: tuple) -> float:
-        return self.run(profile, config_tuple).total_time

@@ -95,8 +95,11 @@ def cache_hit_fraction_batch(batch: WorkloadBatch, device: DeviceSpec) -> np.nda
     loc = batch.spatial_locality
     no_fp = np.minimum(0.97, loc)
     cache_bytes = device.cache_kb * 1024.0
-    fit = np.minimum(1.0, cache_bytes / np.where(batch.footprint_bytes > 0,
-                                                 batch.footprint_bytes, 1.0))
+    # A footprint below ~1e-302 bytes overflows the ratio to inf, which
+    # the clamp turns into the right answer: it fits.
+    with np.errstate(over="ignore"):
+        fit = np.minimum(1.0, cache_bytes / np.where(
+            batch.footprint_bytes > 0, batch.footprint_bytes, 1.0))
     # Between "all fits" (hit ~ 0.95) and "streaming" (hit ~ locality * 0.8).
     resident = 0.95 * fit
     streaming = 0.8 * loc * (1.0 - fit)

@@ -143,6 +143,34 @@ class TestBadInputExitsWithOneLine:
         assert str(exc.value.code).startswith(prefix)
 
 
+class TestServeArguments:
+    """``repro serve`` hands every argument after ``serve`` to the
+    daemon's own parser."""
+
+    def test_help_is_the_daemons(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--help"])
+        assert exc.value.code == 0
+        assert "--oracle-store" in capsys.readouterr().out
+
+    def test_arguments_reach_the_daemon(self, monkeypatch):
+        from repro.serve import server
+
+        got = []
+        monkeypatch.setattr(server, "main", lambda argv: got.append(argv) or 0)
+        assert main(["serve", "--port", "0", "--stdio"]) == 0
+        assert got == [["--port", "0", "--stdio"]]
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--bogus"],
+        ["tune", "-k", "convolution", "-d", "nvidia", "--bogus"],
+    ])
+    def test_unknown_argument_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_watch_defaults_are_the_daemons():
     """Unset ``repro watch`` flags take the daemon's WATCH_DEFAULTS."""
     from repro.cli import _watch_request

@@ -4,7 +4,11 @@ budgets degrade instead of crashing, and backpressure rejects with a
 retry hint instead of queueing without bound."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -72,6 +76,31 @@ class TestProtocol:
 # -- broker --------------------------------------------------------------------
 
 
+class _StubMeasurer:
+    """Records ``(name, thread)`` when its batch runs; may hold the turn
+    until ``hold`` is set, or raise ``error``."""
+
+    def __init__(self, ran, name, hold=None, error=None):
+        self.ran, self.name, self.hold, self.error = ran, name, hold, error
+        self.started = threading.Event()
+
+    def measure_batch_direct(self, indices):
+        self.started.set()
+        if self.hold is not None:
+            assert self.hold.wait(timeout=30)
+        if self.error is not None:
+            raise self.error
+        self.ran.append((self.name, threading.current_thread()))
+        return self.name
+
+
+def _wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
 class TestBroker:
     def test_batches_through_broker_are_bit_identical(self):
         spec = get_benchmark("convolution")
@@ -122,10 +151,122 @@ class TestBroker:
             np.testing.assert_array_equal(got.times_s, want.times_s)
 
     def test_stopped_broker_refuses(self):
-        broker = MeasurementBroker().start()
+        broker = MeasurementBroker()
         broker.stop()
         with pytest.raises(RuntimeError):
             broker.submit(None, [])
+
+    def test_batch_runs_on_the_submitting_thread(self):
+        broker = MeasurementBroker()
+        ran = []
+        stub = _StubMeasurer(ran, "a")
+        worker = threading.Thread(target=broker.submit, args=(stub, [1]))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert broker.submit(_StubMeasurer(ran, "b"), [2, 3]) == "b"
+        assert ran == [("a", worker), ("b", threading.current_thread())]
+        assert broker.stats_snapshot() == {
+            "submissions": 2, "windows": 2, "configs": 3, "queue_depth": 0,
+        }
+
+    def test_held_turn_runs_later_submitters_in_arrival_order(self):
+        broker = MeasurementBroker()
+        ran, release = [], threading.Event()
+        held = _StubMeasurer(ran, "held", hold=release)
+        submitters = [threading.Thread(target=broker.submit, args=(held, [0]))]
+        submitters[0].start()
+        _wait_for(held.started.is_set)
+        for i in range(4):
+            t = threading.Thread(
+                target=broker.submit, args=(_StubMeasurer(ran, i), [i])
+            )
+            submitters.append(t)
+            t.start()
+            # The next submitter arrives only once this one waits its turn.
+            _wait_for(lambda: broker.stats_snapshot()["queue_depth"] == i + 1)
+        assert ran == []
+        release.set()
+        for t in submitters:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in submitters)
+        assert ran == [("held", submitters[0])] + [
+            (i, submitters[i + 1]) for i in range(4)
+        ]
+        assert broker.stats_snapshot()["queue_depth"] == 0
+
+    def test_engine_error_reaches_caller_and_the_turn_passes_on(self):
+        broker = MeasurementBroker()
+        ran = []
+        with pytest.raises(ValueError, match="engine"):
+            broker.submit(_StubMeasurer(ran, "bad", error=ValueError("engine")),
+                          [1])
+        assert broker.submit(_StubMeasurer(ran, "next"), [2]) == "next"
+        assert broker.stats_snapshot()["configs"] == 1
+
+    def test_turns_never_overlap_under_contention(self):
+        """16 threads x 25 batches under a short switch interval: no two
+        batches ever run at once, and no counter loses an update."""
+        broker = MeasurementBroker()
+        running, overlaps = [0], []
+
+        class Exclusive:
+            def measure_batch_direct(self, indices):
+                running[0] += 1
+                if running[0] != 1:
+                    overlaps.append(running[0])
+                time.sleep(0)  # invite a switch mid-batch
+                running[0] -= 1
+                return len(indices)
+
+        def worker():
+            for n in range(1, 26):
+                assert broker.submit(Exclusive(), range(n)) == n
+
+        threads = [threading.Thread(target=worker) for _ in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert overlaps == []
+        assert broker.stats_snapshot() == {
+            "submissions": 400, "windows": 400, "configs": 16 * 325,
+            "queue_depth": 0,
+        }
+
+    def test_stop_returns_after_admitted_batches_then_refuses(self):
+        broker = MeasurementBroker()
+        ran, release = [], threading.Event()
+        held = _StubMeasurer(ran, "held", hold=release)
+        first = threading.Thread(target=broker.submit, args=(held, [0]))
+        first.start()
+        _wait_for(held.started.is_set)
+        second = threading.Thread(
+            target=broker.submit, args=(_StubMeasurer(ran, "queued"), [1])
+        )
+        second.start()
+        _wait_for(lambda: broker.stats_snapshot()["queue_depth"] == 1)
+        ran_when_stopped = []
+        stopper = threading.Thread(
+            target=lambda: (broker.stop(), ran_when_stopped.append(list(ran)))
+        )
+        stopper.start()
+        stopper.join(timeout=0.2)
+        assert stopper.is_alive()  # the held batch has not run yet
+        release.set()
+        for t in (first, second, stopper):
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert [name for name, _ in ran_when_stopped[0]] == ["held", "queued"]
+        with pytest.raises(RuntimeError):
+            broker.submit(_StubMeasurer(ran, "late"), [2])
+        assert len(ran) == 2
 
 
 # -- state ---------------------------------------------------------------------
@@ -408,6 +549,61 @@ class TestServer:
             assert repr(field) in reply["error"]
             assert c.ping()
 
+    @pytest.mark.parametrize("name,value", [
+        ("wg_x", 4.9), ("use_image", True), ("wg_x", "1"),
+    ])
+    def test_non_integer_config_value_gets_typed_error(
+        self, daemon, name, value
+    ):
+        """With the model cached, a config value that is not a JSON
+        integer is refused, never truncated or cast."""
+        _, port = daemon
+        with TuningClient("127.0.0.1", port) as c:
+            r = c.tune("convolution", "nvidia", seed=71, **SMALL)
+            config = {**r["result"]["best_config"], name: value}
+            c.send({"op": "predict", "id": "p", "kernel": "convolution",
+                    "device": "nvidia", "n_train": SMALL["n_train"],
+                    "seed": 71, "config": config})
+            reply = c.recv()
+            assert reply["type"] == "error"
+            assert repr(name) in reply["error"]
+            assert c.ping()
+
+    @pytest.mark.parametrize("field,value", [
+        ("index", 4.9), ("index", True), ("index", "12"),
+        ("kernel", ["convolution"]),
+    ])
+    def test_malformed_truth_gets_typed_error(self, daemon, field, value):
+        _, port = daemon
+        with TuningClient("127.0.0.1", port) as c:
+            c.send({"op": "truth", "id": "t", "kernel": "convolution",
+                    "device": "nvidia", "index": 4, field: value})
+            reply = c.recv()
+            assert reply["type"] == "error"
+            assert repr(field) in reply["error"]
+            assert c.ping()
+
+    def test_batches_run_on_campaign_threads(self, daemon, monkeypatch):
+        """No pump: each batch takes its turn on the campaign thread that
+        submitted it, and no broker thread exists."""
+        server, port = daemon
+        seen = []
+        submit = server.broker.submit
+
+        def spy(measurer, indices):
+            seen.append((threading.current_thread().name,
+                         {t.name for t in threading.enumerate()}))
+            return submit(measurer, indices)
+
+        monkeypatch.setattr(server.broker, "submit", spy)
+        with TuningClient("127.0.0.1", port) as c:
+            r = c.tune("convolution", "nvidia", seed=91, **SMALL)
+        assert r["result"]["best_index"] >= 0
+        assert seen
+        for name, alive in seen:
+            assert name.startswith("campaign")
+            assert "measurement-broker" not in alive
+
     def test_predict_without_model_is_an_error(self, daemon):
         _, port = daemon
         with TuningClient("127.0.0.1", port) as c:
@@ -458,6 +654,34 @@ class TestServer:
             assert server.draining and not server.inflight
         finally:
             thread.stop()
+
+
+def test_stdio_daemon_drains_on_eof():
+    """``repro serve --stdio`` serves one client over stdin/stdout; at EOF
+    in-flight campaigns drain, so the tune's result is written before the
+    daemon exits."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    requests = [
+        {"op": "ping", "id": "p"},
+        {"op": "tune", "id": "t", "kernel": "convolution", "device": "nvidia",
+         "n_train": 60, "m_candidates": 6},
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--stdio"],
+        input=b"".join(protocol.encode(r) for r in requests),
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    replies = [json.loads(line) for line in proc.stdout.splitlines()]
+    seen = {(r["type"], r.get("id")) for r in replies}
+    assert {("pong", "p"), ("ack", "t"), ("result", "t")} <= seen
+    (result,) = [r for r in replies if r["type"] == "result"]
+    assert result["result"]["n_trained"] > 0
 
 
 class TestLoadGenerator:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.simulator.devices import AMD_HD7970, INTEL_I7_3770, NVIDIA_K40
 from repro.simulator.executor import (
-    KernelExecutor,
     compute_time_batch,
     execute,
     granularity_penalty_batch,
@@ -172,15 +171,20 @@ class TestExecute:
 
 
 class TestKernelExecutor:
+    """The runtime executes a kernel launch as ``execute(profile, device,
+    jitter_key=(kernel name, config tuple))``."""
+
+    CFG = (32, 8, 1, 1, 0, 0, 1, 1, 0)
+
+    def launch(self, name):
+        return execute(profile(), NVIDIA_K40, jitter_key=(name, self.CFG))
+
     def test_bound_executor_matches_free_function(self):
-        ex = KernelExecutor(NVIDIA_K40, "convolution")
-        cfg = (32, 8, 1, 1, 0, 0, 1, 1, 0)
-        assert ex.time(profile(), cfg) == simulate_kernel_time(
-            profile(), NVIDIA_K40, jitter_key=("convolution", cfg)
+        assert self.launch("convolution").total_time == simulate_kernel_time(
+            profile(), NVIDIA_K40, jitter_key=("convolution", self.CFG)
         )
 
     def test_kernel_namespace_separates_jitter(self):
-        cfg = (32, 8, 1, 1, 0, 0, 1, 1, 0)
-        t1 = KernelExecutor(NVIDIA_K40, "convolution").time(profile(), cfg)
-        t2 = KernelExecutor(NVIDIA_K40, "stereo").time(profile(), cfg)
+        t1 = self.launch("convolution").total_time
+        t2 = self.launch("stereo").total_time
         assert t1 != t2

@@ -1,6 +1,8 @@
 """Tests for the memory-hierarchy cost model (each space on a one-row
 batch)."""
 
+import warnings
+
 import pytest
 
 from repro.simulator.devices import AMD_HD7970, INTEL_I7_3770, NVIDIA_K40
@@ -82,6 +84,16 @@ class TestCacheModel:
             for fp in (0.0, 1e3, 1e9):
                 p = profile(footprint_bytes=fp, spatial_locality=loc)
                 assert 0.0 <= cache_hit_fraction(p, NVIDIA_K40) <= 0.97
+
+    def test_subnormal_footprint_fits_without_warning(self):
+        """cache / 1e-310 overflows to inf; the clamp makes it "all fits"
+        (hit rate 0.95), and the overflow is not reported."""
+        tiny = profile(footprint_bytes=1e-310, spatial_locality=0.5)
+        fits = profile(footprint_bytes=1.0, spatial_locality=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cache_hit_fraction(tiny, NVIDIA_K40) == 0.95
+        assert cache_hit_fraction(fits, NVIDIA_K40) == 0.95
 
 
 class TestImageMemory:
