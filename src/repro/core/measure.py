@@ -47,7 +47,7 @@ from repro.simulator.validity import (
     STAGE_BUILD_CODE,
     STAGE_LAUNCH_CODE,
     STAGE_OK_CODE,
-    validate,
+    validate_batch,
 )
 
 
@@ -337,6 +337,11 @@ class Measurer:
         broker calls back into :meth:`measure_batch_direct` on the
         submitting thread, so one measurer's batches run in submission
         order and brokered results equal inline ones by construction.
+
+    Static validity, the resource-limit rules a configuration can fail
+    without being built or launched, is :meth:`valid_mask`: one batch
+    through the simulator's validity rules, billed nothing.
+    :meth:`is_valid` is its one-position view.
     """
 
     def __init__(
@@ -359,8 +364,6 @@ class Measurer:
         self.stats = EngineStats()
         # index -> true time (seconds), or None for invalid.
         self._cache: Dict[int, Optional[float]] = {}
-        # index -> static validity (is_valid fast path; no ledger charges).
-        self._valid_cache: Dict[int, bool] = {}
         #: Configurations given up on after repeated transient failures.
         self.quarantine: set = set()
 
@@ -392,24 +395,26 @@ class Measurer:
             return float(ms.times_s[0]), "ok"
         return None, ("quarantined" if ms.n_quarantined else "invalid")
 
-    def is_valid(self, index: int) -> bool:
-        """*Static* validity of a configuration — resource-limit rules
-        only, no build, no launch, no ledger charges, no RNG draws.
+    def valid_mask(self, indices: Sequence[int]) -> np.ndarray:
+        """*Static* validity of many configurations, as a bool array
+        aligned with ``indices`` — resource-limit rules only: one
+        ``workload_batch`` and one
+        :func:`~repro.simulator.validity.validate_batch`, no build, no
+        launch, no ledger charges, no RNG draws, no DB reads.
 
         Candidate filtering (``TunerSettings.filter_known_invalid``) and
-        search warm-starts call this in bulk; a validity check must never
-        bill a launch.
+        the coordinate-descent start scan check a whole window per call;
+        a validity check must never bill a launch.
         """
-        index = int(index)
-        if index in self._cache:
-            return self._cache[index] is not None
-        valid = self._valid_cache.get(index)
-        if valid is None:
-            device = self.context.device.spec
-            profile = self.spec.workload(self.spec.space[index], device)
-            valid = validate(profile, device).valid
-            self._valid_cache[index] = valid
-        return valid
+        device = self.context.device.spec
+        batch = self.spec.workload_batch(np.asarray(indices, dtype=np.int64), device)
+        return validate_batch(batch, device) == STAGE_OK_CODE
+
+    def is_valid(self, index: int) -> bool:
+        """One-position :meth:`valid_mask` (a one-row batch: check many
+        configurations with :meth:`valid_mask` instead of looping over
+        this)."""
+        return bool(self.valid_mask([index])[0])
 
     # -- batches ---------------------------------------------------------------
 

@@ -9,8 +9,9 @@ parameter at a time", §5.1).
 
 ``random_search`` and ``coordinate_descent`` are thin wrappers over the
 strategy zoo (:mod:`repro.core.strategies`) — same draws, same
-measurements, now with honest accounting: free ``is_valid()`` probes are
-reported as ``n_probed`` instead of inflating ``n_measured``, and a
+measurements, now with honest accounting: the start scan's free
+static-validity probes (one ``valid_mask`` batch) are reported as
+``n_probed`` instead of inflating ``n_measured``, and a
 digits tuple already measured in this run (the incumbent included) is
 served from the run's memo instead of billing the ledger again.
 """
@@ -113,8 +114,9 @@ class CoordinateDescentResult(NamedTuple):
 
     ``n_measured`` counts ledger-charged measurements only;
     ``n_probed`` counts the free static-validity checks of the start
-    scan (``is_valid()`` bills nothing since the PR-5 validity split, so
-    it must not inflate the measurement count).
+    scan, the samples up to and including the first valid one (one
+    ``Measurer.valid_mask`` batch, which bills nothing, so it must not
+    inflate the measurement count).
     """
 
     best_index: int

@@ -241,10 +241,10 @@ class SearchStrategy:
     """Base class: a resumable proposer over a pinned subspace.
 
     Subclasses implement :meth:`propose` (and usually :meth:`observe`);
-    they may consult ``self.measurer.is_valid`` — static validity is
-    free — but must never call ``measure``/``measure_batch`` themselves:
-    the run loop owns measurement so accounting and resilience stay in
-    one place.
+    they may consult ``self.measurer.valid_mask`` — static validity is
+    free, one batch per call — but must never call
+    ``measure``/``measure_batch`` themselves: the run loop owns
+    measurement so accounting and resilience stay in one place.
     """
 
     name = "base"

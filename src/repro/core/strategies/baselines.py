@@ -96,16 +96,18 @@ class ExhaustiveStrategy(SearchStrategy):
 class CoordinateDescentStrategy(SearchStrategy):
     """One-parameter-at-a-time greedy descent, batched per parameter.
 
-    From a valid starting point (free ``is_valid`` scan, or a supplied
-    ``start_index``), each proposal is every *untried* value of the
-    current free parameter with the others held fixed; the best measured
-    value wins the axis.  A full sweep without improvement converges.
+    From a valid starting point (the first valid sample of a free
+    ``valid_mask`` scan, or a supplied ``start_index``), each proposal is
+    every *untried* value of the current free parameter with the others
+    held fixed; the best measured value wins the axis.  A full sweep
+    without improvement converges.
 
     Already-measured trial indices are served from the run's own memo
     (the dedupe fix of the legacy baseline): a repeated digits tuple —
     the incumbent included — costs nothing and is not re-counted, so the
     reported measured count matches ledger spend.  ``n_probed`` counts
-    the free validity checks of the start scan separately.
+    the free validity checks of the start scan separately: the samples up
+    to and including the first valid one, or the whole scan if none is.
     """
 
     name = "coordinate"
@@ -166,15 +168,16 @@ class CoordinateDescentStrategy(SearchStrategy):
             if self.start_index is not None:
                 self._pending = np.asarray([self.start_index], dtype=np.int64)
                 return self._pending
-            for i in self.sub.sample_flat(
-                min(self.scan_limit, self.sub.size), rng
-            ):
-                self.n_probed += 1
-                if self.measurer.is_valid(int(i)):
-                    self._pending = np.asarray([int(i)], dtype=np.int64)
-                    return self._pending
-            self._phase = "done"
-            return np.empty(0, dtype=np.int64)
+            scan = self.sub.sample_flat(min(self.scan_limit, self.sub.size), rng)
+            valid = np.flatnonzero(self.measurer.valid_mask(scan))
+            if valid.size == 0:
+                self.n_probed += len(scan)
+                self._phase = "done"
+                return np.empty(0, dtype=np.int64)
+            # The scan's probes end at its first valid sample.
+            self.n_probed += int(valid[0]) + 1
+            self._pending = np.asarray([int(scan[valid[0]])], dtype=np.int64)
+            return self._pending
         if self.sub.n_free == 0:
             self._phase = "done"
             return np.empty(0, dtype=np.int64)

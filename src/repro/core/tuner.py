@@ -215,22 +215,20 @@ class MLAutoTuner:
         # order is computed at most twice (an optimistic 4M prefix, then —
         # only if the model really did rank a huge invalid region first —
         # the full order once), and each round merely widens the
-        # validity-filter window over it.  Deterministic tie-breaking
+        # validity-filter window over it, checking the new window in one
+        # ``valid_mask`` batch.  Deterministic tie-breaking
         # makes the optimistic prefix an exact prefix of the full order.
         m = self.settings.m_candidates
         limit = self.spec.space.size if pool is None else len(pool)
         checked = min(m * 4, limit)
         order = self.model.top_m(checked, pool)
-        keep = [int(i) for i in order if self.measurer.is_valid(int(i))]
+        keep = order[self.measurer.valid_mask(order)].tolist()
         while len(keep) < m and checked < limit:
             if len(order) < limit:
                 order = self.model.top_m(limit, pool)
             widened = min(checked * 4, limit)
-            keep.extend(
-                int(i)
-                for i in order[checked:widened]
-                if self.measurer.is_valid(int(i))
-            )
+            window = order[checked:widened]
+            keep.extend(window[self.measurer.valid_mask(window)].tolist())
             checked = widened
         return np.asarray(keep[:m], dtype=np.int64)
 

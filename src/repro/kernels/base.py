@@ -142,12 +142,16 @@ class KernelSpec(abc.ABC):
         """Workload profiles of many configurations as one column batch.
 
         The base implementation loops over :meth:`workload` and stacks the
-        scalar profiles — correct for every kernel, fast for none.
-        Benchmarks override this with a fully vectorized construction
-        (convolution does); the override must produce bit-identical columns,
-        which the batch-engine property tests enforce.  ``config_tuples``
-        lets callers share the decoded tuples with the executor's jitter
-        pass instead of decoding twice.
+        scalar profiles (raycasting and stereo use it).  A benchmark may
+        build the batch from decoded parameter columns instead and make
+        :meth:`workload` a one-row view of it
+        (:meth:`~repro.simulator.workload.WorkloadBatch.row`); convolution
+        does, and the batch-engine tests hold its columns to the
+        per-configuration formulas kept in ``tests/scalar_simulator.py``
+        bit for bit.  Callers with many configurations call this rather
+        than loop over :meth:`workload`.  ``config_tuples`` lets callers
+        share the decoded tuples with the executor's jitter pass instead
+        of decoding twice.
         """
         profiles = [self.workload(self._space[int(i)], device) for i in indices]
         return WorkloadBatch.from_profiles(profiles)

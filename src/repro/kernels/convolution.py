@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.kernels.base import KernelSpec, padded_threads, resolve_unroll
+from repro.kernels.base import KernelSpec
 from repro.params import ParameterSpace, boolean, pow2
 from repro.simulator.device import DeviceSpec
 from repro.simulator.hashing import HashPrefix
@@ -94,101 +94,14 @@ class ConvolutionKernel(KernelSpec):
     # -- timing model ---------------------------------------------------------
 
     def workload(self, config: Mapping, device: DeviceSpec) -> WorkloadProfile:
-        p = self.problem
-        wx, wy = config["wg_x"], config["wg_y"]
-        px, py = config["ppt_x"], config["ppt_y"]
-        use_image = bool(config["use_image"])
-        use_local = bool(config["use_local"])
-        pad = bool(config["pad"])
-        interleaved = bool(config["interleaved"])
-
-        gx = padded_threads(p.width, px, wx)
-        gy = padded_threads(p.height, py, wy)
-        threads = gx * gy
-        # Fraction of launched threads with real pixels to produce; padding
-        # threads exit after the bounds check but still burn a few ops.
-        useful = (p.width * p.height) / (threads * px * py)
-        useful = min(1.0, useful)
-        pixels = px * py * useful  # average output pixels per launched thread
-
-        taps = p.taps
-        effective_unroll = resolve_unroll(
-            self.unroll_of(config),
+        """Workload profile of one configuration: a one-row view of
+        :meth:`workload_batch` (batch many configurations instead of
+        looping over this)."""
+        return self.workload_batch(
+            [self.space.index_of(config)],
             device,
-            uses_driver_pragma=True,
-            key=(self.name, self.config_tuple(config)),
-        )
-        # Remaining loop-control iterations per pixel after unrolling.
-        iters_per_pixel = taps / effective_unroll
-        loop_iters = pixels * iters_per_pixel + 2.0  # +outer block loop
-
-        # Arithmetic: multiply-accumulate + addressing per tap, plus
-        # clamp-to-edge bounds handling when the image is not padded.
-        ops_per_tap = 2.6 if pad else 4.1
-        flops = pixels * (taps * ops_per_tap + 6.0) + 4.0
-
-        # Registers: accumulators for the per-thread block, unroll scratch.
-        block = px * py
-        regs = 12 + min(block, 64) * 2 + (10 if effective_unroll > 1 else 0)
-
-        # -- memory traffic ---------------------------------------------------
-        global_reads = image_reads = local_reads = local_writes = 0.0
-        local_bytes = 0
-        tile_w = wx * px + p.halo
-        tile_h = wy * py + p.halo
-        if use_local:
-            local_bytes = tile_w * tile_h * 4
-            tile_share = (tile_w * tile_h) / (wx * wy)  # loads per thread
-            if use_image:
-                image_reads = tile_share
-            else:
-                global_reads = tile_share
-            local_writes = tile_share
-            local_reads = pixels * taps
-        else:
-            if use_image:
-                image_reads = pixels * taps
-            else:
-                global_reads = pixels * taps
-        global_writes = pixels  # one output store per pixel
-
-        # -- access-pattern quality ------------------------------------------
-        if use_local:
-            # Cooperative row-major tile loads are contiguous by construction.
-            coal = 0.92 if device.is_gpu else 0.85
-        elif device.is_gpu:
-            # Interleaved: lane i reads column base+i -> coalesced.
-            # Blocked: lane i starts px columns from lane i-1 -> strided.
-            coal = 0.95 if interleaved else max(0.12, 1.0 / px)
-        else:
-            # CPU: the blocked layout is the vectorizable/prefetchable one.
-            coal = 0.88 if (not interleaved or wx == 1) else max(0.2, 1.0 / wx)
-
-        pad_growth = (p.width + p.halo) * (p.height + p.halo) / (p.width * p.height)
-        in_bytes = p.width * p.height * 4 * (pad_growth if pad else 1.0)
-        footprint = in_bytes + p.width * p.height * 4  # input + output
-
-        return WorkloadProfile(
-            global_size=(gx, gy),
-            workgroup=(wx, wy),
-            flops_per_thread=flops,
-            global_reads=global_reads,
-            global_writes=global_writes,
-            image_reads=image_reads,
-            local_reads=local_reads,
-            local_writes=local_writes,
-            constant_reads=0.0,
-            local_mem_per_wg_bytes=local_bytes,
-            registers_per_thread=int(regs),
-            coalesced_fraction=coal,
-            spatial_locality=0.85,
-            footprint_bytes=footprint,
-            loop_iterations_per_thread=loop_iters,
-            uses_driver_unroll=True,
-            unroll_factor=self.unroll_of(config),
-            barriers_per_workgroup=2.0 if use_local else 0.0,
-            wg_footprint_bytes=tile_w * tile_h * 4.0,
-        )
+            config_tuples=[self.config_tuple(config)],
+        ).row(0)
 
     def workload_batch(
         self,
@@ -196,12 +109,13 @@ class ConvolutionKernel(KernelSpec):
         device: DeviceSpec,
         config_tuples: Optional[Sequence[tuple]] = None,
     ) -> WorkloadBatch:
-        """Vectorized :meth:`workload` over many flat indices.
+        """Workload profiles of many flat indices as one column batch.
 
-        Mirrors the scalar computation operation for operation (same
-        literals, same association order) so every column is bit-identical
-        to stacking scalar profiles; the driver-unroll coin flips reuse the
-        scalar hash via a pre-hashed key prefix.
+        Elementwise over decoded parameter columns; the driver-unroll coin
+        flips (:func:`~repro.kernels.base.resolve_unroll`) reuse its hash
+        through a pre-hashed key prefix.  The per-configuration formulas
+        it mirrors, operation for operation, are kept in
+        ``tests/scalar_simulator.py``.
         """
         p = self.problem
         vm = self.space.int_values_matrix(indices)
@@ -216,10 +130,13 @@ class ConvolutionKernel(KernelSpec):
         gx = (np.ceil(np.ceil(p.width / px) / wx) * wx).astype(np.int64)
         gy = (np.ceil(np.ceil(p.height / py) / wy) * wy).astype(np.int64)
         threads = gx * gy
+        # Fraction of launched threads with real pixels to produce; padding
+        # threads exit after the bounds check but still burn a few ops.
         useful = np.minimum(1.0, (p.width * p.height) / (threads * px * py))
-        pixels = px * py * useful
+        pixels = px * py * useful  # average output pixels per launched thread
 
         taps = p.taps
+        # The boolean pragma requests full unrolling of the 5x5 tap loops.
         requested = np.where(unrolled, taps, 1)
         effective_unroll = requested.copy()
         pending = np.nonzero(requested > 1)[0]
@@ -231,19 +148,27 @@ class ConvolutionKernel(KernelSpec):
             for k in pending.tolist():
                 if not hp.uniform(tuple(config_tuples[k])) < rel:
                     effective_unroll[k] = 1
+        # Remaining loop-control iterations per pixel after unrolling.
         iters_per_pixel = taps / effective_unroll
-        loop_iters = pixels * iters_per_pixel + 2.0
+        loop_iters = pixels * iters_per_pixel + 2.0  # +outer block loop
 
+        # Arithmetic: multiply-accumulate + addressing per tap, plus
+        # clamp-to-edge bounds handling when the image is not padded.
         ops_per_tap = np.where(pad, 2.6, 4.1)
         flops = pixels * (taps * ops_per_tap + 6.0) + 4.0
 
+        # Registers: accumulators for the per-thread block, unroll scratch.
         block = px * py
         regs = 12 + np.minimum(block, 64) * 2 + np.where(effective_unroll > 1, 10, 0)
 
+        # -- memory traffic ---------------------------------------------------
+        # Local memory: one cooperative tile load (with halo) per
+        # work-group, then every tap read from the tile; without it every
+        # tap reads global (or image) memory.
         tile_w = wx * px + p.halo
         tile_h = wy * py + p.halo
         local_bytes = np.where(use_local, tile_w * tile_h * 4, 0)
-        tile_share = (tile_w * tile_h) / (wx * wy)
+        tile_share = (tile_w * tile_h) / (wx * wy)  # loads per thread
         pix_taps = pixels * taps
         cooperative = np.where(use_local, tile_share, 0.0)
         direct = np.where(use_local, 0.0, pix_taps)
@@ -251,15 +176,20 @@ class ConvolutionKernel(KernelSpec):
         global_reads = np.where(use_image, 0.0, cooperative + direct)
         local_writes = cooperative
         local_reads = np.where(use_local, pix_taps, 0.0)
-        global_writes = pixels
+        global_writes = pixels  # one output store per pixel
 
+        # -- access-pattern quality ------------------------------------------
+        # Cooperative row-major tile loads are contiguous by construction.
         if device.is_gpu:
+            # Interleaved: lane i reads column base+i -> coalesced.
+            # Blocked: lane i starts px columns from lane i-1 -> strided.
             coal = np.where(
                 use_local,
                 0.92,
                 np.where(interleaved, 0.95, np.maximum(0.12, 1.0 / px)),
             )
         else:
+            # CPU: the blocked layout is the vectorizable/prefetchable one.
             coal = np.where(
                 use_local,
                 0.85,
@@ -270,7 +200,7 @@ class ConvolutionKernel(KernelSpec):
 
         pad_growth = (p.width + p.halo) * (p.height + p.halo) / (p.width * p.height)
         in_bytes = p.width * p.height * 4 * np.where(pad, pad_growth, 1.0)
-        footprint = in_bytes + p.width * p.height * 4
+        footprint = in_bytes + p.width * p.height * 4  # input + output
 
         n = vm.shape[0]
         return WorkloadBatch(

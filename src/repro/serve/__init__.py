@@ -16,30 +16,9 @@ Layout:
 * :mod:`repro.serve.server` — the asyncio daemon (``python -m repro
   serve``).
 * :mod:`repro.serve.client` — blocking client + load generator.
+
+The package itself exports nothing: import the submodule you need, so
+that a caller of :mod:`~repro.serve.campaigns` or
+:mod:`~repro.serve.protocol` (``repro watch``) loads neither the daemon,
+the client nor asyncio.
 """
-
-from repro.serve.broker import MeasurementBroker
-from repro.serve.campaigns import result_payload, run_campaign
-from repro.serve.client import ServerRejected, TuningClient, run_load
-from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.serve.server import TuningServer
-from repro.serve.state import (
-    ClientAccount,
-    ModelCache,
-    ResultCache,
-)
-
-__all__ = [
-    "ClientAccount",
-    "MeasurementBroker",
-    "ModelCache",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "ResultCache",
-    "ServerRejected",
-    "TuningClient",
-    "TuningServer",
-    "result_payload",
-    "run_campaign",
-    "run_load",
-]

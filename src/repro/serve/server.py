@@ -155,6 +155,7 @@ class TuningServer:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped = asyncio.Event()
+        self._drain: Optional[asyncio.Task] = None
         self._conn_seq = 0
         self._watch_seq = 0
         self._avg_wall_s = 1.0  # EWMA of campaign wall time (retry hints)
@@ -184,7 +185,18 @@ class TuningServer:
         await self._stopped.wait()
 
     async def shutdown(self) -> None:
-        """Graceful drain: finish in-flight campaigns, then stop."""
+        """Graceful drain: finish in-flight campaigns, then stop.  The
+        drain runs once, as a task the server holds; every call (the
+        ``shutdown`` op, EOF on ``--stdio``, :class:`ServerThread`) waits
+        for that one drain."""
+        await asyncio.shield(self._start_drain())
+
+    def _start_drain(self) -> asyncio.Task:
+        if self._drain is None:
+            self._drain = asyncio.create_task(self._run_drain())
+        return self._drain
+
+    async def _run_drain(self) -> None:
         self.draining = True
         while self.inflight:
             await asyncio.sleep(0.01)
@@ -219,7 +231,13 @@ class TuningServer:
             writer.close()
 
     async def run_stdio(self) -> None:
-        """Serve one client over stdin/stdout (no sockets; e.g. an IDE)."""
+        """Serve one client over stdin/stdout (no sockets; e.g. an IDE).
+
+        Returns once the drain has finished: at EOF (in-flight results go
+        out first), or after a ``shutdown`` op without waiting for EOF.
+        Stdin is read on a daemon thread, so a read parked in ``readline``
+        never holds the process open.
+        """
         self.loop = asyncio.get_running_loop()
 
         class _StdoutWriter:
@@ -232,14 +250,27 @@ class TuningServer:
 
         conn = _Connection(self, "stdio", _StdoutWriter())
         writer_task = asyncio.create_task(conn.drain_writer())
+        lines: "asyncio.Queue[str]" = asyncio.Queue()
+        loop = self.loop
+
+        def read_stdin() -> None:
+            # "" marks EOF; a line arriving after the loop closed is dropped.
+            with contextlib.suppress(RuntimeError):
+                for line in iter(sys.stdin.readline, ""):
+                    loop.call_soon_threadsafe(lines.put_nowait, line)
+                loop.call_soon_threadsafe(lines.put_nowait, "")
+
+        threading.Thread(target=read_stdin, name="stdin", daemon=True).start()
+        # A finished drain (a shutdown op's) ends the read loop as EOF does.
+        stopped = asyncio.create_task(self._stopped.wait())
+        stopped.add_done_callback(lambda _: lines.put_nowait(""))
         while True:
-            line = await self.loop.run_in_executor(None, sys.stdin.readline)
+            line = await lines.get()
             if not line:
                 break
             await self._dispatch_line(conn, line.encode("utf-8"))
-            if self._stopped.is_set():
-                break
-        await self.shutdown()  # in-flight results go out first
+        stopped.cancel()
+        await self.shutdown()
         conn.outbox.put_nowait(None)
         await writer_task
 
@@ -271,7 +302,7 @@ class TuningServer:
                 self._handle_truth(conn, req_id, req)
             elif op == "shutdown":
                 conn.send(protocol.response("draining", req_id))
-                asyncio.create_task(self.shutdown())
+                self._start_drain()
             else:
                 self.counters["errors"] += 1
                 conn.send(

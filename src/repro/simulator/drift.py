@@ -269,7 +269,9 @@ class DriftModel:
     def quirk_key_hashes(kernel_name: str, int_matrix: np.ndarray) -> np.ndarray:
         """``part64((kernel_name, config_tuple))`` for every row of an
         integer configuration matrix, vectorized.  The same hashes feed
-        :meth:`regime_quirks_many` for any number of regimes."""
+        :meth:`regime_quirks_many` for any number of regimes, and identify
+        the ``(kernel, config)`` fault keys the runtime rolls at the
+        build/launch surfaces (``FaultInjector.peek_uniforms``)."""
         return tuple_keys64(pair_key_prefix64(kernel_name), int_matrix)
 
     def regime_quirks_many(self, regime: int, key_hashes: np.ndarray) -> np.ndarray:

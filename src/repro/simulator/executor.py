@@ -22,7 +22,7 @@ The *true* time of one kernel launch is assembled from:
 Every term is evaluated on a :class:`~repro.simulator.workload.WorkloadBatch`,
 one array entry per configuration: :func:`execute_batch` serves whole
 sweeps, and :func:`execute` is a one-row view of the same pipeline that
-adds the occupancy limiter and raises on invalid launches.
+reports the occupancy limiter and raises on invalid launches.
 
 The result is a pure function: same (kernel, config, device) in, same true
 time out.  Measurement noise lives in :mod:`repro.simulator.noise`.
@@ -42,10 +42,9 @@ from repro.simulator.memory import MemoryCost, memory_time_batch
 from repro.simulator.occupancy import (
     OccupancyBatch,
     OccupancyResult,
-    compute_occupancy,
     compute_occupancy_batch,
 )
-from repro.simulator.validity import STAGE_OK_CODE, validate, validate_batch
+from repro.simulator.validity import STAGE_OK_CODE, validate_batch, validate_row
 from repro.simulator.workload import WorkloadBatch, WorkloadProfile
 
 #: Scalar ops charged per remaining loop iteration (compare+branch+index).
@@ -237,6 +236,7 @@ def batch_jitter_factors(
 class _LaunchTerms:
     """Every term of a batch's launch times, one entry per configuration."""
 
+    occupancy: OccupancyBatch
     compute: np.ndarray
     memory: MemoryCost
     overlap: np.ndarray
@@ -282,7 +282,7 @@ def _launch_terms(
     else:
         jitter = np.ones(len(batch))
     total = (busy * q + latency + ovh) * jitter
-    return _LaunchTerms(comp, mem, ov, q, ovh, jitter, total)
+    return _LaunchTerms(occ, comp, mem, ov, q, ovh, jitter, total)
 
 
 def execute_batch(
@@ -314,27 +314,23 @@ def execute(
 
     ``jitter_key`` identifies the configuration (kernel name + config tuple)
     for the deterministic micro-architectural jitter; an empty key disables
-    jitter (useful for model unit tests).  The time terms are those of
-    :func:`execute_batch` on a one-row batch; the occupancy, with the
-    resource that limits it, is
-    :func:`~repro.simulator.occupancy.compute_occupancy`'s.
+    jitter (useful for model unit tests).  A one-row view of
+    :func:`execute_batch`'s pipeline: the validity check, the occupancy
+    with the resource that limits it, and every time term.
     """
-    validate(profile, device).raise_if_invalid()
+    batch = WorkloadBatch.from_profiles([profile])
+    validate_row(batch, device).raise_if_invalid()
     kernel_name = config_tuples = None
     if jitter_key:
         kernel_name, config_tuple = jitter_key
         config_tuples = [tuple(config_tuple)]
     terms = _launch_terms(
-        WorkloadBatch.from_profiles([profile]),
-        device,
-        kernel_name,
-        config_tuples,
-        np.ones(1, dtype=bool),
+        batch, device, kernel_name, config_tuples, np.ones(1, dtype=bool)
     )
     return ExecutionBreakdown(
         compute_time=float(terms.compute[0]),
         memory=terms.memory.row(0),
-        occupancy=compute_occupancy(profile, device),
+        occupancy=terms.occupancy.row(0),
         overlap=float(terms.overlap[0]),
         wave_quantization=float(terms.wave_quantization[0]),
         overhead_time=float(terms.overhead[0]),

@@ -40,7 +40,6 @@ from repro.simulator.hashing import (
     keyed_uniform_many,
     pair_key_prefix64,
     part64,
-    tuple_keys64,
 )
 
 #: Injection decisions (returned by the injector, consumed by the runtime).
@@ -231,15 +230,6 @@ class FaultInjector:
     # -- batch draw API (pure: no counters move) -------------------------------
 
     @staticmethod
-    def config_key_hashes(
-        kernel_name: str, int_matrix: np.ndarray
-    ) -> np.ndarray:
-        """``part64((kernel_name, config_tuple))`` per row, vectorized —
-        the 64-bit identity of the ``(kernel, config)`` fault keys the
-        runtime rolls at the build/launch surfaces."""
-        return tuple_keys64(pair_key_prefix64(kernel_name), int_matrix)
-
-    @staticmethod
     def index_key_hashes(kernel_name: str, indices: np.ndarray) -> np.ndarray:
         """``part64((kernel_name, int(index)))`` per element, vectorized —
         the identity of the outlier-surface measurement keys."""
@@ -251,6 +241,9 @@ class FaultInjector:
     ) -> np.ndarray:
         """The uniforms :meth:`_roll` *would* draw for ``attempts[i]`` of
         ``key_hashes[i]`` on ``surface`` — pure, no attempt counters move.
+        Build/launch keys hash as
+        :meth:`~repro.simulator.drift.DriftModel.quirk_key_hashes`,
+        outlier keys as :meth:`index_key_hashes`.
         The wave engine decides whole attempt-waves from one such call and
         commits the consumed counters afterwards."""
         h = self._surface_h[surface]

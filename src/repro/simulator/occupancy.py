@@ -6,6 +6,11 @@ capacity and the register file.  Low occupancy means memory time cannot be
 overlapped with compute — the single biggest reason work-group shape and
 per-thread work interact with everything else, and why a learned model beats
 one-at-a-time parameter search.
+
+The rules are evaluated on a
+:class:`~repro.simulator.workload.WorkloadBatch`, one entry per
+configuration (:func:`compute_occupancy_batch`); :func:`compute_occupancy`
+is a one-row view of it.
 """
 
 from __future__ import annotations
@@ -42,90 +47,78 @@ class OccupancyResult:
     limiter: str
 
 
-def effective_registers_per_thread(profile: WorkloadProfile, device: DeviceSpec) -> int:
-    """Register demand after the compiler clamps to the per-thread ceiling.
-
-    Demand above the ceiling spills (handled as extra memory traffic by the
-    executor), it does not raise the per-thread allocation further.
-    """
-    return min(profile.registers_per_thread, device.max_registers_per_thread)
-
-
-def compute_occupancy(profile: WorkloadProfile, device: DeviceSpec) -> OccupancyResult:
-    """Resident work-groups per CU and the limiting resource."""
-    wg_threads = profile.workgroup_threads
-
-    limits = {}
-    limits["threads"] = device.max_threads_per_cu // wg_threads
-    limits["slots"] = device.max_workgroups_per_cu
-
-    if profile.local_mem_per_wg_bytes > 0:
-        limits["local_mem"] = (
-            device.local_mem_per_cu_bytes // profile.local_mem_per_wg_bytes
-        )
-
-    regs = effective_registers_per_thread(profile, device)
-    regs_per_wg = regs * wg_threads
-    if regs_per_wg > 0:
-        limits["registers"] = device.registers_per_cu // regs_per_wg
-
-    limiter = min(limits, key=lambda k: (limits[k], k))
-    wgs = max(0, limits[limiter])
-    # Never let more work-groups be "resident" than exist in the launch.
-    wgs_in_launch = profile.num_workgroups
-    cu_share = max(1, (wgs_in_launch + device.compute_units - 1) // device.compute_units)
-    wgs_effective = min(wgs, cu_share)
-
-    active = wgs_effective * wg_threads
-    occ = min(1.0, active / device.max_threads_per_cu)
-    return OccupancyResult(
-        workgroups_per_cu=wgs_effective,
-        active_threads_per_cu=active,
-        occupancy=occ,
-        limiter=limiter,
-    )
+#: The resources that can bound residency, in name order.  The limiter is
+#: the first of them with the lowest limit.
+LIMITERS = ("local_mem", "registers", "slots", "threads")
 
 
 @dataclass(frozen=True)
 class OccupancyBatch:
-    """Array-shaped :class:`OccupancyResult` (no per-config limiter label —
-    batch callers only consume the numeric columns)."""
+    """Array-shaped :class:`OccupancyResult`: one entry per configuration,
+    with ``limiter`` holding positions in :data:`LIMITERS`."""
 
     workgroups_per_cu: np.ndarray
     active_threads_per_cu: np.ndarray
     occupancy: np.ndarray
+    limiter: np.ndarray
+
+    def row(self, i: int) -> OccupancyResult:
+        """Configuration ``i`` as an :class:`OccupancyResult` of Python
+        ints, a float and the limiter's name."""
+        return OccupancyResult(
+            workgroups_per_cu=int(self.workgroups_per_cu[i]),
+            active_threads_per_cu=int(self.active_threads_per_cu[i]),
+            occupancy=float(self.occupancy[i]),
+            limiter=LIMITERS[int(self.limiter[i])],
+        )
+
+
+def effective_registers_per_thread(workload, device: DeviceSpec):
+    """Register demand after the compiler clamps to the per-thread ceiling.
+
+    Demand above the ceiling spills (handled as extra memory traffic by the
+    executor), it does not raise the per-thread allocation further.
+    ``workload`` is a :class:`WorkloadBatch` (one entry per configuration)
+    or a single :class:`WorkloadProfile`.
+    """
+    return np.minimum(workload.registers_per_thread, device.max_registers_per_thread)
 
 
 def compute_occupancy_batch(batch: WorkloadBatch, device: DeviceSpec) -> OccupancyBatch:
-    """Vectorized :func:`compute_occupancy` over a workload batch.
+    """Resident work-groups per CU and the limiting resource, per
+    configuration of a workload batch.
 
-    Produces the same ``workgroups_per_cu`` / ``active_threads_per_cu`` /
-    ``occupancy`` values as the scalar path, elementwise.  Resources a
-    configuration does not consume (no local memory, zero registers) are
-    excluded from the minimum exactly as the scalar dict construction does.
+    Each resource in :data:`LIMITERS` gives a limit on resident
+    work-groups; a resource a configuration does not consume (no local
+    memory, zero registers) gives none.  The lowest limit binds, and a tie
+    goes to the first resource in name order.
     """
     wg_threads = batch.workgroup_threads
 
     no_limit = np.iinfo(np.int64).max
-    limit_threads = device.max_threads_per_cu // wg_threads
-    limit_slots = np.full_like(wg_threads, device.max_workgroups_per_cu)
-
     lm = batch.local_mem_per_wg_bytes
-    limit_local = np.where(
-        lm > 0, device.local_mem_per_cu_bytes // np.maximum(lm, 1), no_limit
+    regs_per_wg = effective_registers_per_thread(batch, device) * wg_threads
+    # One row per configuration, one column per resource in LIMITERS order;
+    # argmin keeps the first of equal minima.
+    limits = np.stack(
+        [
+            np.where(
+                lm > 0, device.local_mem_per_cu_bytes // np.maximum(lm, 1), no_limit
+            ),
+            np.where(
+                regs_per_wg > 0,
+                device.registers_per_cu // np.maximum(regs_per_wg, 1),
+                no_limit,
+            ),
+            np.full_like(wg_threads, device.max_workgroups_per_cu),
+            device.max_threads_per_cu // wg_threads,
+        ],
+        axis=1,
     )
+    limiter = np.argmin(limits, axis=1)
+    wgs = np.maximum(0, limits[np.arange(len(limiter)), limiter])
 
-    regs = np.minimum(batch.registers_per_thread, device.max_registers_per_thread)
-    regs_per_wg = regs * wg_threads
-    limit_regs = np.where(
-        regs_per_wg > 0, device.registers_per_cu // np.maximum(regs_per_wg, 1), no_limit
-    )
-
-    wgs = np.minimum(
-        np.minimum(limit_threads, limit_slots), np.minimum(limit_local, limit_regs)
-    )
-    wgs = np.maximum(0, wgs)
-
+    # Never let more work-groups be "resident" than exist in the launch.
     wgs_in_launch = batch.num_workgroups
     cu_share = np.maximum(
         1, (wgs_in_launch + device.compute_units - 1) // device.compute_units
@@ -138,4 +131,13 @@ def compute_occupancy_batch(batch: WorkloadBatch, device: DeviceSpec) -> Occupan
         workgroups_per_cu=wgs_effective,
         active_threads_per_cu=active,
         occupancy=occ,
+        limiter=limiter,
     )
+
+
+def compute_occupancy(profile: WorkloadProfile, device: DeviceSpec) -> OccupancyResult:
+    """Resident work-groups per CU and the limiting resource of one launch:
+    a one-row view of :func:`compute_occupancy_batch` (batch many
+    configurations instead of looping over this)."""
+    batch = WorkloadBatch.from_profiles([profile])
+    return compute_occupancy_batch(batch, device).row(0)

@@ -9,6 +9,11 @@ our runtime mirrors that split: ``build``-stage failures raise
 :class:`~repro.runtime.errors.BuildError`, ``launch``-stage failures raise
 :class:`~repro.runtime.errors.LaunchError`, and both cost wall-clock time in
 the tuner's budget accounting.
+
+The rules are evaluated on a
+:class:`~repro.simulator.workload.WorkloadBatch`, one entry per
+configuration (:func:`validate_batch`); :func:`validate` is a one-row view
+of it that adds the reason.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.simulator.device import DeviceSpec
-from repro.simulator.occupancy import compute_occupancy, compute_occupancy_batch
+from repro.simulator.occupancy import OccupancyBatch, compute_occupancy_batch
 from repro.simulator.workload import WorkloadBatch, WorkloadProfile
 
 #: Stage at which a failure surfaces.
@@ -59,8 +64,33 @@ class ValidationResult:
 VALID = ValidationResult(True)
 
 
-def validate(profile: WorkloadProfile, device: DeviceSpec) -> ValidationResult:
-    """Check whether a launch can execute on ``device``.
+#: The static rules in check order (a configuration fails at the first it
+#: breaks), and the stage code each rule's failure surfaces at.
+_RULE_OK, _RULE_WORKGROUP, _RULE_LOCAL_MEM, _RULE_REGISTERS = range(4)
+_STAGE_CODE_OF_RULE = np.array(
+    [STAGE_OK_CODE, STAGE_BUILD_CODE, STAGE_BUILD_CODE, STAGE_LAUNCH_CODE],
+    dtype=np.int8,
+)
+
+
+def _broken_rules(
+    batch: WorkloadBatch, device: DeviceSpec, occ: OccupancyBatch
+) -> np.ndarray:
+    """The first rule each configuration breaks (``_RULE_OK`` if none)."""
+    return np.select(
+        [
+            batch.workgroup_threads > device.max_workgroup_size,
+            batch.local_mem_per_wg_bytes > device.local_mem_per_cu_bytes,
+            occ.workgroups_per_cu < 1,
+        ],
+        [_RULE_WORKGROUP, _RULE_LOCAL_MEM, _RULE_REGISTERS],
+        default=_RULE_OK,
+    )
+
+
+def validate_batch(batch: WorkloadBatch, device: DeviceSpec) -> np.ndarray:
+    """Check whether launches can execute on ``device``: per-config
+    integer stage codes.
 
     Build-stage failures (knowable from the kernel source + device caps):
 
@@ -70,50 +100,53 @@ def validate(profile: WorkloadProfile, device: DeviceSpec) -> ValidationResult:
     Launch-stage failures (depend on compiler register allocation):
 
     * not even one work-group's registers fit in the register file.
-    """
-    wg_threads = profile.workgroup_threads
-    if wg_threads > device.max_workgroup_size:
-        return ValidationResult(
-            False,
-            STAGE_BUILD,
-            f"work-group {profile.workgroup[0]}x{profile.workgroup[1]} = "
-            f"{wg_threads} exceeds device limit {device.max_workgroup_size}",
-        )
-    if profile.local_mem_per_wg_bytes > device.local_mem_per_cu_bytes:
-        return ValidationResult(
-            False,
-            STAGE_BUILD,
-            f"local memory {profile.local_mem_per_wg_bytes} B/work-group "
-            f"exceeds device limit {device.local_mem_per_cu_bytes} B",
-        )
-    occ = compute_occupancy(profile, device)
-    if occ.workgroups_per_cu < 1:
-        return ValidationResult(
-            False,
-            STAGE_LAUNCH,
-            f"register demand ({profile.registers_per_thread}/thread x "
-            f"{wg_threads} threads) exceeds register file "
-            f"({device.registers_per_cu}/CU); limiter={occ.limiter}",
-        )
-    return VALID
-
-
-def validate_batch(batch: WorkloadBatch, device: DeviceSpec) -> np.ndarray:
-    """Vectorized :func:`validate`: per-config integer stage codes.
 
     Returns an ``int8`` array with :data:`STAGE_OK_CODE` (0) for runnable
     configurations, :data:`STAGE_BUILD_CODE` (1) for build-stage failures
-    (work-group or local-memory over device limits) and
-    :data:`STAGE_LAUNCH_CODE` (2) for launch-stage failures (zero resident
-    work-groups).  Build failures take precedence, mirroring the scalar
-    check order.
+    and :data:`STAGE_LAUNCH_CODE` (2) for launch-stage failures.  The
+    rules are checked in the order above, so build failures take
+    precedence.
     """
-    wg_threads = batch.workgroup_threads
-    build_bad = (wg_threads > device.max_workgroup_size) | (
-        batch.local_mem_per_wg_bytes > device.local_mem_per_cu_bytes
-    )
     occ = compute_occupancy_batch(batch, device)
-    launch_bad = occ.workgroups_per_cu < 1
-    return np.where(
-        build_bad, STAGE_BUILD_CODE, np.where(launch_bad, STAGE_LAUNCH_CODE, STAGE_OK_CODE)
-    ).astype(np.int8)
+    return _STAGE_CODE_OF_RULE[_broken_rules(batch, device, occ)]
+
+
+def validate_row(
+    batch: WorkloadBatch, device: DeviceSpec, i: int = 0
+) -> ValidationResult:
+    """Configuration ``i`` of ``batch`` checked by :func:`validate_batch`'s
+    rules, with the failing stage and a reason naming the broken limit."""
+    occ = compute_occupancy_batch(batch, device)
+    rule = int(_broken_rules(batch, device, occ)[i])
+    if rule == _RULE_OK:
+        return VALID
+    wx, wy = int(batch.wx[i]), int(batch.wy[i])
+    if rule == _RULE_WORKGROUP:
+        return ValidationResult(
+            False,
+            STAGE_BUILD,
+            f"work-group {wx}x{wy} = "
+            f"{wx * wy} exceeds device limit {device.max_workgroup_size}",
+        )
+    if rule == _RULE_LOCAL_MEM:
+        return ValidationResult(
+            False,
+            STAGE_BUILD,
+            f"local memory {int(batch.local_mem_per_wg_bytes[i])} B/work-group "
+            f"exceeds device limit {device.local_mem_per_cu_bytes} B",
+        )
+    return ValidationResult(
+        False,
+        STAGE_LAUNCH,
+        f"register demand ({int(batch.registers_per_thread[i])}/thread x "
+        f"{wx * wy} threads) exceeds register file "
+        f"({device.registers_per_cu}/CU); limiter={occ.row(i).limiter}",
+    )
+
+
+def validate(profile: WorkloadProfile, device: DeviceSpec) -> ValidationResult:
+    """Check whether one launch can execute on ``device``: a one-row view
+    of :func:`validate_batch` with the stage and reason
+    (:func:`validate_row`).  Batch many configurations instead of looping
+    over this."""
+    return validate_row(WorkloadBatch.from_profiles([profile]), device)

@@ -200,10 +200,10 @@ class WorkloadBatch:
 
     @classmethod
     def from_profiles(cls, profiles: "list[WorkloadProfile]") -> "WorkloadBatch":
-        """Stack scalar profiles into a batch (reference path; kernels
-        normally build batches directly from decoded parameter columns)."""
+        """Stack scalar profiles into a batch (kernels without a vectorized
+        ``workload_batch``, and one-row views of the batch functions;
+        convolution builds its batches from decoded parameter columns)."""
         n = len(profiles)
-        int_cols = {"local_mem_per_wg_bytes", "registers_per_thread", "unroll_factor"}
         kw = {
             "gx": np.fromiter((p.global_size[0] for p in profiles), np.int64, n),
             "gy": np.fromiter((p.global_size[1] for p in profiles), np.int64, n),
@@ -211,11 +211,31 @@ class WorkloadBatch:
             "wy": np.fromiter((p.workgroup[1] for p in profiles), np.int64, n),
             "uses_driver_unroll": any(p.uses_driver_unroll for p in profiles),
         }
-        for f in fields(WorkloadProfile):
-            if f.name in ("global_size", "workgroup", "uses_driver_unroll"):
-                continue
-            dtype = np.int64 if f.name in int_cols else np.float64
-            kw[f.name] = np.fromiter(
-                (getattr(p, f.name) for p in profiles), dtype, n
-            )
+        for name in _COLUMNS:
+            dtype = np.int64 if name in _INT_COLUMNS else np.float64
+            kw[name] = np.fromiter((getattr(p, name) for p in profiles), dtype, n)
         return cls(**kw)
+
+    def row(self, i: int) -> WorkloadProfile:
+        """Configuration ``i`` as a :class:`WorkloadProfile` of Python ints
+        and floats (the inverse of :meth:`from_profiles` for one row)."""
+        kw = {
+            name: (int if name in _INT_COLUMNS else float)(getattr(self, name)[i])
+            for name in _COLUMNS
+        }
+        return WorkloadProfile(
+            global_size=(int(self.gx[i]), int(self.gy[i])),
+            workgroup=(int(self.wx[i]), int(self.wy[i])),
+            uses_driver_unroll=self.uses_driver_unroll,
+            **kw,
+        )
+
+
+#: The :class:`WorkloadProfile` fields a batch keeps as one column each
+#: (the size and shape tuples split into per-axis columns instead).
+_COLUMNS = tuple(
+    f.name
+    for f in fields(WorkloadProfile)
+    if f.name not in ("global_size", "workgroup", "uses_driver_unroll")
+)
+_INT_COLUMNS = {"local_mem_per_wg_bytes", "registers_per_thread", "unroll_factor"}

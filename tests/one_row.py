@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.simulator.memory import MemoryCost
-from repro.simulator.occupancy import OccupancyBatch, OccupancyResult
+from repro.simulator.occupancy import LIMITERS, OccupancyBatch, OccupancyResult
 from repro.simulator.workload import WorkloadBatch, WorkloadProfile
 
 
@@ -26,6 +26,7 @@ def _as_row(arg):
             workgroups_per_cu=np.array([arg.workgroups_per_cu]),
             active_threads_per_cu=np.array([arg.active_threads_per_cu]),
             occupancy=np.array([arg.occupancy]),
+            limiter=np.array([LIMITERS.index(arg.limiter)]),
         )
     return arg
 

@@ -1,12 +1,19 @@
 """The scalar simulator: the one-launch reference the batch pipeline is
 compared against.
 
-The simulator evaluates every launch-time term on arrays
-(:func:`repro.simulator.executor.execute_batch`); a single launch,
-:func:`repro.simulator.executor.execute`, is a one-row view of that
-pipeline.  This module keeps the per-launch formulas the batch code was
-written to mirror, operation for operation, as plain Python on one
-:class:`~repro.simulator.workload.WorkloadProfile`: compute time, the
+The simulator evaluates every launch-time term, the occupancy and the
+static validity rules on arrays
+(:func:`repro.simulator.executor.execute_batch`,
+:func:`repro.simulator.validity.validate_batch`), and convolution builds
+its workload profiles the same way
+(``ConvolutionKernel.workload_batch``); a single launch,
+:func:`repro.simulator.executor.execute`, and the single-configuration
+``validate``, ``compute_occupancy`` and ``ConvolutionKernel.workload``
+are one-row views of those.  This module keeps the per-configuration
+formulas the batch code was written to mirror, operation for operation,
+as plain Python: convolution's workload profile, occupancy with its
+limiting resource, validity with its stage and reason, and, on one
+:class:`~repro.simulator.workload.WorkloadProfile`, compute time, the
 five memory spaces, overlap, wave quantization, overheads and the
 two-component blake2b jitter.  ``tests/test_batch_engine.py`` holds the
 two paths to the same bits, term by term, on every device model.
@@ -17,7 +24,10 @@ Production code does not import this module.
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
+from repro.kernels.base import padded_threads, resolve_unroll
+from repro.kernels.convolution import ConvolutionKernel
 from repro.simulator.device import DeviceSpec
 from repro.simulator.executor import (
     CPU_BARRIER_NS_PER_ITEM,
@@ -38,9 +48,215 @@ from repro.simulator.memory import (
     UNCOALESCED_EFFICIENCY,
     MemoryCost,
 )
-from repro.simulator.occupancy import OccupancyResult, compute_occupancy
-from repro.simulator.validity import validate
+from repro.simulator.occupancy import OccupancyResult
+from repro.simulator.validity import (
+    STAGE_BUILD,
+    STAGE_LAUNCH,
+    VALID,
+    ValidationResult,
+)
 from repro.simulator.workload import WorkloadProfile
+
+
+# -- workload (convolution) --------------------------------------------------
+
+
+def convolution_workload(
+    spec: ConvolutionKernel, config: Mapping, device: DeviceSpec
+) -> WorkloadProfile:
+    """``ConvolutionKernel.workload`` per configuration (the method body,
+    with ``spec`` for ``self``): the formulas the vectorized
+    ``ConvolutionKernel.workload_batch`` mirrors."""
+    p = spec.problem
+    wx, wy = config["wg_x"], config["wg_y"]
+    px, py = config["ppt_x"], config["ppt_y"]
+    use_image = bool(config["use_image"])
+    use_local = bool(config["use_local"])
+    pad = bool(config["pad"])
+    interleaved = bool(config["interleaved"])
+
+    gx = padded_threads(p.width, px, wx)
+    gy = padded_threads(p.height, py, wy)
+    threads = gx * gy
+    # Fraction of launched threads with real pixels to produce; padding
+    # threads exit after the bounds check but still burn a few ops.
+    useful = (p.width * p.height) / (threads * px * py)
+    useful = min(1.0, useful)
+    pixels = px * py * useful  # average output pixels per launched thread
+
+    taps = p.taps
+    effective_unroll = resolve_unroll(
+        spec.unroll_of(config),
+        device,
+        uses_driver_pragma=True,
+        key=(spec.name, spec.config_tuple(config)),
+    )
+    # Remaining loop-control iterations per pixel after unrolling.
+    iters_per_pixel = taps / effective_unroll
+    loop_iters = pixels * iters_per_pixel + 2.0  # +outer block loop
+
+    # Arithmetic: multiply-accumulate + addressing per tap, plus
+    # clamp-to-edge bounds handling when the image is not padded.
+    ops_per_tap = 2.6 if pad else 4.1
+    flops = pixels * (taps * ops_per_tap + 6.0) + 4.0
+
+    # Registers: accumulators for the per-thread block, unroll scratch.
+    block = px * py
+    regs = 12 + min(block, 64) * 2 + (10 if effective_unroll > 1 else 0)
+
+    # -- memory traffic ---------------------------------------------------
+    global_reads = image_reads = local_reads = local_writes = 0.0
+    local_bytes = 0
+    tile_w = wx * px + p.halo
+    tile_h = wy * py + p.halo
+    if use_local:
+        local_bytes = tile_w * tile_h * 4
+        tile_share = (tile_w * tile_h) / (wx * wy)  # loads per thread
+        if use_image:
+            image_reads = tile_share
+        else:
+            global_reads = tile_share
+        local_writes = tile_share
+        local_reads = pixels * taps
+    else:
+        if use_image:
+            image_reads = pixels * taps
+        else:
+            global_reads = pixels * taps
+    global_writes = pixels  # one output store per pixel
+
+    # -- access-pattern quality ------------------------------------------
+    if use_local:
+        # Cooperative row-major tile loads are contiguous by construction.
+        coal = 0.92 if device.is_gpu else 0.85
+    elif device.is_gpu:
+        # Interleaved: lane i reads column base+i -> coalesced.
+        # Blocked: lane i starts px columns from lane i-1 -> strided.
+        coal = 0.95 if interleaved else max(0.12, 1.0 / px)
+    else:
+        # CPU: the blocked layout is the vectorizable/prefetchable one.
+        coal = 0.88 if (not interleaved or wx == 1) else max(0.2, 1.0 / wx)
+
+    pad_growth = (p.width + p.halo) * (p.height + p.halo) / (p.width * p.height)
+    in_bytes = p.width * p.height * 4 * (pad_growth if pad else 1.0)
+    footprint = in_bytes + p.width * p.height * 4  # input + output
+
+    return WorkloadProfile(
+        global_size=(gx, gy),
+        workgroup=(wx, wy),
+        flops_per_thread=flops,
+        global_reads=global_reads,
+        global_writes=global_writes,
+        image_reads=image_reads,
+        local_reads=local_reads,
+        local_writes=local_writes,
+        constant_reads=0.0,
+        local_mem_per_wg_bytes=local_bytes,
+        registers_per_thread=int(regs),
+        coalesced_fraction=coal,
+        spatial_locality=0.85,
+        footprint_bytes=footprint,
+        loop_iterations_per_thread=loop_iters,
+        uses_driver_unroll=True,
+        unroll_factor=spec.unroll_of(config),
+        barriers_per_workgroup=2.0 if use_local else 0.0,
+        wg_footprint_bytes=tile_w * tile_h * 4.0,
+    )
+
+
+def workload(spec, config: Mapping, device: DeviceSpec) -> WorkloadProfile:
+    """Per-configuration workload profile: convolution's reference body
+    above; raycasting and stereo build theirs one configuration at a time
+    in ``src`` already."""
+    if isinstance(spec, ConvolutionKernel):
+        return convolution_workload(spec, config, device)
+    return spec.workload(config, device)
+
+
+# -- occupancy and validity --------------------------------------------------
+
+
+def effective_registers_per_thread(profile: WorkloadProfile, device: DeviceSpec) -> int:
+    """Register demand after the compiler clamps to the per-thread ceiling.
+
+    Demand above the ceiling spills (handled as extra memory traffic by the
+    executor), it does not raise the per-thread allocation further.
+    """
+    return min(profile.registers_per_thread, device.max_registers_per_thread)
+
+
+def compute_occupancy(profile: WorkloadProfile, device: DeviceSpec) -> OccupancyResult:
+    """Resident work-groups per CU and the limiting resource."""
+    wg_threads = profile.workgroup_threads
+
+    limits = {}
+    limits["threads"] = device.max_threads_per_cu // wg_threads
+    limits["slots"] = device.max_workgroups_per_cu
+
+    if profile.local_mem_per_wg_bytes > 0:
+        limits["local_mem"] = (
+            device.local_mem_per_cu_bytes // profile.local_mem_per_wg_bytes
+        )
+
+    regs = effective_registers_per_thread(profile, device)
+    regs_per_wg = regs * wg_threads
+    if regs_per_wg > 0:
+        limits["registers"] = device.registers_per_cu // regs_per_wg
+
+    limiter = min(limits, key=lambda k: (limits[k], k))
+    wgs = max(0, limits[limiter])
+    # Never let more work-groups be "resident" than exist in the launch.
+    wgs_in_launch = profile.num_workgroups
+    cu_share = max(1, (wgs_in_launch + device.compute_units - 1) // device.compute_units)
+    wgs_effective = min(wgs, cu_share)
+
+    active = wgs_effective * wg_threads
+    occ = min(1.0, active / device.max_threads_per_cu)
+    return OccupancyResult(
+        workgroups_per_cu=wgs_effective,
+        active_threads_per_cu=active,
+        occupancy=occ,
+        limiter=limiter,
+    )
+
+
+def validate(profile: WorkloadProfile, device: DeviceSpec) -> ValidationResult:
+    """Check whether a launch can execute on ``device``.
+
+    Build-stage failures (knowable from the kernel source + device caps):
+
+    * work-group larger than ``max_workgroup_size``;
+    * static local-memory allocation larger than the per-CU scratchpad.
+
+    Launch-stage failures (depend on compiler register allocation):
+
+    * not even one work-group's registers fit in the register file.
+    """
+    wg_threads = profile.workgroup_threads
+    if wg_threads > device.max_workgroup_size:
+        return ValidationResult(
+            False,
+            STAGE_BUILD,
+            f"work-group {profile.workgroup[0]}x{profile.workgroup[1]} = "
+            f"{wg_threads} exceeds device limit {device.max_workgroup_size}",
+        )
+    if profile.local_mem_per_wg_bytes > device.local_mem_per_cu_bytes:
+        return ValidationResult(
+            False,
+            STAGE_BUILD,
+            f"local memory {profile.local_mem_per_wg_bytes} B/work-group "
+            f"exceeds device limit {device.local_mem_per_cu_bytes} B",
+        )
+    occ = compute_occupancy(profile, device)
+    if occ.workgroups_per_cu < 1:
+        return ValidationResult(
+            False,
+            STAGE_LAUNCH,
+            f"register demand ({profile.registers_per_thread}/thread x "
+            f"{wg_threads} threads) exceeds register file "
+            f"({device.registers_per_cu}/CU); limiter={occ.limiter}",
+        )
+    return VALID
 
 
 # -- hashing -----------------------------------------------------------------

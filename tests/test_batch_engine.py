@@ -11,8 +11,10 @@ duplicates, cache hits and DB hits.
 
 Under the engine, the simulator's one launch-time pipeline must match the
 per-launch formulas kept in ``tests/scalar_simulator.py``: workload
-columns, batch true times, and every term of a one-launch ``execute()``,
-bit for bit on all six device models.
+columns (convolution's against its moved per-configuration body), the
+validity stage and reason, all four occupancy fields (limiter included),
+batch true times, and every term of a one-launch ``execute()``, bit for
+bit on all six device models.
 """
 
 import dataclasses
@@ -36,6 +38,8 @@ from repro.simulator import (
 )
 from repro.simulator.executor import execute
 from repro.simulator.extra_devices import XEON_PHI_5110P
+from repro.simulator.occupancy import compute_occupancy, compute_occupancy_batch
+from repro.simulator.validity import validate_row
 from repro.simulator.workload import WorkloadBatch
 from tests import scalar_simulator
 from tests.serial_reference import SerialReference
@@ -179,7 +183,8 @@ class TestBatchSimulatorPath:
         indices = spec.space.sample_indices(200, rng)
         wb = spec.workload_batch(indices, device)
         ref = WorkloadBatch.from_profiles(
-            [spec.workload(spec.space[int(i)], device) for i in indices]
+            [scalar_simulator.workload(spec, spec.space[int(i)], device)
+             for i in indices]
         )
         for f in dataclasses.fields(WorkloadBatch):
             a, b = getattr(wb, f.name), getattr(ref, f.name)
@@ -201,12 +206,49 @@ class TestBatchSimulatorPath:
         stages = validate_batch(wb, device)
         assert np.array_equal(be.stages, stages)
         for p, i in enumerate(indices):
-            profile = spec.workload(spec.space[int(i)], device)
+            profile = scalar_simulator.workload(spec, spec.space[int(i)], device)
             if stages[p] != 0:
                 assert np.isnan(be.times[p])
                 continue
             ref = scalar_simulator.execute(profile, device, (spec.name, tuples[p]))
             assert same_bits(be.times[p], ref.total_time)
+
+    @pytest.mark.parametrize("name,cls,device,repeats", SIM_CASES)
+    def test_validity_matches_scalar_reference(self, name, cls, device, repeats):
+        """``validate_batch``'s stage codes, and the stage and reason of
+        its row view (``validate_row``) and one-row view (``validate``),
+        equal the per-configuration rules', valid or not."""
+        spec = make_spec(cls)
+        indices = spec.space.sample_indices(200, np.random.default_rng(41))
+        wb = spec.workload_batch(indices, device)
+        stages = validate_batch(wb, device)
+        code_of = {"": 0, "build": 1, "launch": 2}
+        for p, i in enumerate(indices):
+            profile = scalar_simulator.workload(spec, spec.space[int(i)], device)
+            ref = scalar_simulator.validate(profile, device)
+            want = (ref.valid, ref.stage, ref.reason)
+            assert stages[p] == code_of[ref.stage]
+            for got in (validate_row(wb, device, p), validate(profile, device)):
+                assert (got.valid, got.stage, got.reason) == want
+
+    @pytest.mark.parametrize("name,cls,device,repeats", SIM_CASES)
+    def test_occupancy_matches_scalar_reference(self, name, cls, device, repeats):
+        """All four occupancy fields, the limiter's tie-break included,
+        from the batch and from the one-row view, equal the
+        per-configuration formula's, valid configurations or not."""
+        spec = make_spec(cls)
+        indices = spec.space.sample_indices(200, np.random.default_rng(43))
+        occ = compute_occupancy_batch(spec.workload_batch(indices, device), device)
+
+        def fields_of(o):
+            return (o.workgroups_per_cu, o.active_threads_per_cu,
+                    float(o.occupancy).hex(), o.limiter)
+
+        for p, i in enumerate(indices):
+            profile = scalar_simulator.workload(spec, spec.space[int(i)], device)
+            want = fields_of(scalar_simulator.compute_occupancy(profile, device))
+            assert fields_of(occ.row(p)) == want
+            assert fields_of(compute_occupancy(profile, device)) == want
 
     @pytest.mark.parametrize("name,cls,device,repeats", SIM_CASES)
     def test_execute_matches_scalar_reference_term_by_term(

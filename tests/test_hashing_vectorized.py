@@ -116,6 +116,9 @@ class TestKeyStructure:
 
 
 class TestFaultInjectorParity:
+    """Peeked fault uniforms equal the rolls, with config keys hashed the
+    way the batch engine hashes them (``DriftModel.quirk_key_hashes``)."""
+
     @pytest.mark.parametrize("profile", ["flaky-gpu", "unstable-driver"])
     def test_peek_matches_roll_per_attempt(self, profile):
         rng = np.random.default_rng(3)
@@ -123,7 +126,7 @@ class TestFaultInjectorParity:
         cts = [tuple(int(v) for v in row) for row in mat]
         for surface in ("build", "launch"):
             inj = FaultInjector(FAULT_PROFILES[profile])
-            hashes = inj.config_key_hashes("conv", mat)
+            hashes = DriftModel.quirk_key_hashes("conv", mat)
             # Vectorized peek first: it must be pure (no counter movement).
             peeked = np.stack(
                 [inj.peek_uniforms(surface, hashes, np.full(len(cts), a))
@@ -151,7 +154,7 @@ class TestFaultInjectorParity:
     def test_bump_attempts_advances_the_stream(self):
         inj = FaultInjector(FAULT_PROFILES["flaky-gpu"])
         key = ("conv", (1, 2, 3, 4, 0, 1))
-        h = inj.config_key_hashes("conv", np.array([[1, 2, 3, 4, 0, 1]]))
+        h = DriftModel.quirk_key_hashes("conv", np.array([[1, 2, 3, 4, 0, 1]]))
         expected = [float(inj.peek_uniforms("launch", h, [a])[0]) for a in range(4)]
         inj.bump_attempts("launch", key, 2)
         assert inj._roll("launch", key) == expected[2]

@@ -656,16 +656,19 @@ class TestServer:
             thread.stop()
 
 
+def _src_env():
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+
+
 def test_stdio_daemon_drains_on_eof():
     """``repro serve --stdio`` serves one client over stdin/stdout; at EOF
     in-flight campaigns drain, so the tune's result is written before the
     daemon exits."""
-    import repro
-
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    )}
     requests = [
         {"op": "ping", "id": "p"},
         {"op": "tune", "id": "t", "kernel": "convolution", "device": "nvidia",
@@ -674,7 +677,7 @@ def test_stdio_daemon_drains_on_eof():
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "serve", "--stdio"],
         input=b"".join(protocol.encode(r) for r in requests),
-        capture_output=True, env=env, timeout=120,
+        capture_output=True, env=_src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()
     replies = [json.loads(line) for line in proc.stdout.splitlines()]
@@ -682,6 +685,49 @@ def test_stdio_daemon_drains_on_eof():
     assert {("pong", "p"), ("ack", "t"), ("result", "t")} <= seen
     (result,) = [r for r in replies if r["type"] == "result"]
     assert result["result"]["n_trained"] > 0
+
+
+def test_stdio_daemon_exits_after_shutdown_with_stdin_open():
+    """A ``shutdown`` op drains the ``--stdio`` daemon and the process
+    exits without waiting for EOF: stdin stays open the whole time."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--stdio"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_src_env(),
+    )
+    watchdog = threading.Timer(60, proc.kill)  # a silent daemon fails, not hangs
+    watchdog.start()
+    try:
+        proc.stdin.write(protocol.encode({"op": "shutdown", "id": "s"}))
+        proc.stdin.flush()
+        reply = json.loads(proc.stdout.readline())
+        assert (reply["type"], reply["id"]) == ("draining", "s")
+        assert proc.wait(timeout=10) == 0, proc.stderr.read().decode()
+    finally:
+        watchdog.cancel()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+def test_watch_imports_load_no_daemon():
+    """``repro watch`` needs only ``repro.serve.campaigns`` and
+    ``repro.serve.protocol``; the package must not pull in the daemon,
+    the client or asyncio."""
+    code = (
+        "import sys, repro, repro.cli, repro.serve.campaigns\n"
+        "print(sorted({'asyncio', 'repro.serve.server', 'repro.serve.client'}"
+        " & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=_src_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "[]"
 
 
 class TestLoadGenerator:
