@@ -111,6 +111,9 @@ class CoordinateDescentStrategy(SearchStrategy):
     """
 
     name = "coordinate"
+    #: Sizes of the start scan's first validity windows; the last
+    #: window is the rest of the scan.
+    SCAN_WINDOWS = (4, 16, 64)
 
     def __init__(
         self,
@@ -161,6 +164,26 @@ class CoordinateDescentStrategy(SearchStrategy):
         )
         return fresh
 
+    def _first_valid(self, scan: np.ndarray) -> Optional[int]:
+        """Position of the first valid sample of ``scan`` (None if none).
+
+        ``valid_mask`` is pure (no ledger, RNG or DB), so checking the
+        scan in growing windows — :data:`SCAN_WINDOWS` samples, then the
+        rest — finds the position a whole-scan check would, while the
+        usual scan, valid within its first samples, builds a handful of
+        profiles instead of ``scan_limit``.
+        """
+        lo = 0
+        for size in (*self.SCAN_WINDOWS, len(scan)):
+            window = scan[lo:lo + size]
+            if not window.size:
+                break
+            valid = np.flatnonzero(self.measurer.valid_mask(window))
+            if valid.size:
+                return lo + int(valid[0])
+            lo += window.size
+        return None
+
     def propose(self, rng: np.random.Generator, budget: int) -> np.ndarray:
         if self._phase == "done":
             return np.empty(0, dtype=np.int64)
@@ -169,14 +192,14 @@ class CoordinateDescentStrategy(SearchStrategy):
                 self._pending = np.asarray([self.start_index], dtype=np.int64)
                 return self._pending
             scan = self.sub.sample_flat(min(self.scan_limit, self.sub.size), rng)
-            valid = np.flatnonzero(self.measurer.valid_mask(scan))
-            if valid.size == 0:
+            first = self._first_valid(scan)
+            if first is None:
                 self.n_probed += len(scan)
                 self._phase = "done"
                 return np.empty(0, dtype=np.int64)
             # The scan's probes end at its first valid sample.
-            self.n_probed += int(valid[0]) + 1
-            self._pending = np.asarray([int(scan[valid[0]])], dtype=np.int64)
+            self.n_probed += first + 1
+            self._pending = np.asarray([int(scan[first])], dtype=np.int64)
             return self._pending
         if self.sub.n_free == 0:
             self._phase = "done"

@@ -6,8 +6,10 @@ hidden-width/activation ablations.  Each activation exposes
 * ``value(z, out=None)`` — elementwise activation of pre-activations
   ``z``, into ``out`` when given (``out=z`` runs in place, the same bits
   as a fresh result);
-* ``derivative(a)`` — elementwise derivative expressed as a function of the
-  *activation output* ``a`` (cheaper during backprop: no need to keep ``z``).
+* ``derivative(a, out=None)`` — elementwise derivative expressed as a
+  function of the *activation output* ``a`` (cheaper during backprop: no
+  need to keep ``z``), into ``out`` when given (a buffer other than
+  ``a``; the same bits as a fresh result).
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ class Sigmoid:
         return np.reciprocal(out, out=out)
 
     @staticmethod
-    def derivative(a: np.ndarray) -> np.ndarray:
-        return a * (1.0 - a)
+    def derivative(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # a * (1 - a), the second product into the first's buffer.
+        out = np.subtract(1.0, a, out=out)
+        return np.multiply(a, out, out=out)
 
 
 class Tanh:
@@ -45,8 +49,9 @@ class Tanh:
         return np.tanh(z, out=out)
 
     @staticmethod
-    def derivative(a: np.ndarray) -> np.ndarray:
-        return 1.0 - a * a
+    def derivative(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.multiply(a, a, out=out)
+        return np.subtract(1.0, out, out=out)
 
 
 class ReLU:
@@ -57,8 +62,10 @@ class ReLU:
         return np.maximum(z, 0.0, out=out)
 
     @staticmethod
-    def derivative(a: np.ndarray) -> np.ndarray:
-        return (a > 0.0).astype(a.dtype)
+    def derivative(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(a)
+        return np.greater(a, 0.0, out=out)
 
 
 class Identity:
@@ -74,8 +81,11 @@ class Identity:
         return out
 
     @staticmethod
-    def derivative(a: np.ndarray) -> np.ndarray:
-        return np.ones_like(a)
+    def derivative(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return np.ones_like(a)
+        out.fill(1.0)
+        return out
 
 
 ACTIVATIONS = {cls.name: cls for cls in (Sigmoid, Tanh, ReLU, Identity)}

@@ -3,21 +3,27 @@
 Functionally equivalent to ``BaggedRegressor(MLPRegressor, k)`` — k
 single-hidden-layer networks on leave-one-fold-out splits, mean prediction
 — but an order of magnitude faster: member weights are stacked into
-``(k, in, out)`` tensors and every forward/backward pass is one batched
-einsum over all members, instead of k sequential Python-level fits.
-Membership of a sample in a member's training set becomes a per-member
-sample *weight* in the loss (1/|fold kept| or 0), which preserves exact
-leave-one-fold-out semantics.
+``(k, in, out)`` tensors and every forward/backward pass is one
+broadcast ``matmul`` per contraction over all members (one BLAS call
+per member), instead of k sequential Python-level fits.  Membership of a
+sample in a member's training set becomes a per-member sample *weight*
+in the loss (1/|fold kept| or 0), which preserves exact leave-one-fold-out
+semantics.
 
 One training loop runs on that tensor layout, with **member-wise
 early stopping with active-set compaction**: each member's loss is
 tracked separately, and a member whose own loss has plateaued for
 ``freeze_patience`` epochs is *frozen* — its weights are written back
-and its rows are physically removed from the ``(k, n, h)``
-forward/backward tensors and the Adam state, so the per-epoch cost
-shrinks as members finish instead of every member paying until the
-slowest one converges.  A global criterion on the *mean* loss stops the
-whole fit.  ``fit_mode`` picks a preset of that loop:
+and its rows are physically removed from the training state, so the
+per-epoch cost shrinks as members finish instead of every member paying
+until the slowest one converges.  A global criterion on the *mean* loss
+stops the whole fit.  The state of the members still training
+(:class:`_ActiveSet`) is a flat float32 buffer each for the parameters,
+their gradients and both Adam moments — one ``adam_step`` call per
+epoch — plus sample-major ``(n, a, h)`` activation, derivative and delta
+buffers, allocated once per active set: an epoch writes into them and
+allocates nothing of the sample count's size.  ``fit_mode`` picks a
+preset of that loop:
 
 * ``"adaptive"`` (the default) freezes members as they converge;
 * ``"classic"`` never freezes (``freeze_patience`` is ``math.inf``), so
@@ -26,6 +32,13 @@ whole fit.  ``fit_mode`` picks a preset of that loop:
   RNG draws; ``tests/test_ml_adaptive.py`` keeps that loop as its
   reference).  It is the baseline the adaptive preset is gated against
   (``benchmarks/test_perf_fit.py``).
+
+Either preset is the allocating loop kept in ``tests/ensemble_reference.py``
+bit for bit (``tests/test_ml_train_parity.py``): the buffers change
+where results are written, not the ufuncs, GEMMs and reductions or
+their order.  A traced fit also records each epoch's out-of-fold loss —
+every member's MSE on the fold it leaves out — next to the training
+loss in the ``ensemble.loss_curve`` event.
 
 ``fit(..., warm_start=True)`` additionally reuses the previous weights
 (scaler statistics are refreshed from the new data, Adam state restarts)
@@ -162,6 +175,9 @@ class EnsembleMLPRegressor:
         self.member_epochs_: np.ndarray = np.zeros(0, dtype=np.int64)
         self.n_frozen_: int = 0
         self.stop_reason_: Optional[str] = None
+        #: Per-epoch out-of-fold loss of the last fit, recorded only when
+        #: it is traced (k > 1); None otherwise.
+        self._oof_curve: Optional[list[float]] = None
         self.fit_wall_s_: float = 0.0
         self.warm_started_: bool = False
         #: Target-transform flag recovered from an archive's meta block by
@@ -298,6 +314,7 @@ class EnsembleMLPRegressor:
         self.warm_started_ = warm
 
         self.loss_curve_ = []
+        self._oof_curve = None
         with self.tracer.span(
             "ensemble.fit",
             k=self.k,
@@ -308,6 +325,7 @@ class EnsembleMLPRegressor:
         ) as span:
             stop_reason, best = self._train(Xs, ys, weights)
             self.stop_reason_ = stop_reason
+            oof = self._oof_curve
             span.set(
                 epochs_run=len(self.loss_curve_),
                 stop_reason=stop_reason,
@@ -316,51 +334,25 @@ class EnsembleMLPRegressor:
                 n_frozen=int(self.n_frozen_),
                 member_epochs=[int(e) for e in self.member_epochs_],
             )
+            if oof:
+                span.set(final_oof_loss=oof[-1])
         tracer = self.tracer
         if tracer.enabled:  # building the curve payload isn't free
             tracer.count("ml.epochs_run", len(self.loss_curve_))
             tracer.gauge("ml.early_stop_epoch", len(self.loss_curve_))
             tracer.gauge("ml.stop_reason", stop_reason)
             idx = _curve_trace_indices(self.loss_curve_)
-            tracer.event(
-                "ensemble.loss_curve",
+            curve = dict(
                 epochs=len(self.loss_curve_),
                 downsampled=bool(idx.size < len(self.loss_curve_)),
                 loss_epochs=[int(i) for i in idx],
                 losses=[round(float(self.loss_curve_[i]), 8) for i in idx],
             )
+            if oof:  # held-out MSE at the same epochs (k > 1 only)
+                curve["oof_losses"] = [round(float(oof[i]), 8) for i in idx]
+            tracer.event("ensemble.loss_curve", **curve)
         self.fit_wall_s_ = time.perf_counter() - t_start
         return self
-
-    def _backward(self, Xs, ys, weights, W1, b1, W2, b2):
-        """One full-batch forward/backward over the given member stack.
-
-        Returns ``(member_loss, grads)`` where ``member_loss`` is the
-        per-member weighted MSE (float32, one entry per row of the
-        stack) and ``grads`` aligns with ``[W1, b1, W2, b2]``.  The
-        member axis may be any size — the adaptive engine calls this
-        with compacted stacks — but the ``1/self.k`` member-average
-        factor is always the *full* ensemble size, so gradients of the
-        surviving members are unchanged by compaction.
-        """
-        A1 = self.activation.value(np.matmul(Xs, W1) + b1[:, None, :])
-        pred = np.matmul(A1, W2[:, :, None])[:, :, 0] + b2[:, None]
-        err = pred - ys[None, :]  # (a, n)
-        member_loss = np.sum(weights * err * err, axis=1)
-
-        # d loss / d pred, including the member average (1/k).
-        delta2 = 2.0 * weights * err / self.k  # (a, n)
-        gW2 = np.matmul(A1.transpose(0, 2, 1), delta2[:, :, None])[:, :, 0]
-        gb2 = delta2.sum(axis=1)
-        dA1 = delta2[:, :, None] * W2[:, None, :]  # (a, n, h)
-        delta1 = dA1 * self.activation.derivative(A1)
-        gW1 = np.matmul(Xs.T, delta1)  # (d, n) @ (a, n, h) -> (a, d, h)
-        gb1 = delta1.sum(axis=1)
-        grads = [gW1, gb1, gW2, gb2]
-        if self.l2 > 0.0:
-            grads[0] = grads[0] + 2.0 * self.l2 * W1
-            grads[2] = grads[2] + 2.0 * self.l2 * W2
-        return member_loss, grads
 
     def _train(self, Xs, ys, weights):
         """The training loop: member-wise freezing with active-set
@@ -369,24 +361,26 @@ class EnsembleMLPRegressor:
         A global stopping criterion watches the mean loss (frozen members
         contribute their final loss to the mean, so the curve and the
         stop decision stay comparable); additionally any member whose own
-        loss has been stale for ``_freeze_patience`` epochs is frozen and
-        its rows are *physically removed* from the parameter/Adam/weight
-        stacks — the per-epoch cost shrinks as members finish.  With a
-        patience of ``math.inf`` (the classic preset) nothing ever
-        freezes, the stacks are never copied, and the loop is the
-        original all-members global-stop loop, floating-point operation
-        for operation.
+        loss has been stale for ``_freeze_patience`` epochs is frozen:
+        its weights are written back to ``_params`` and the next, smaller
+        :class:`_ActiveSet` holds only the members still training, so
+        the per-epoch cost shrinks as members finish.  With a patience of
+        ``math.inf`` (the classic preset) nothing ever freezes and the
+        loop is the original all-members global-stop loop, floating-point
+        operation for operation.
+
+        When the tracer is enabled (and k > 1) each epoch also records
+        the out-of-fold loss (:meth:`_ActiveSet.held_out_loss`) into
+        ``_oof_curve``; that never feeds back into the training.
         """
         out = self._params  # full-size (k, ...) arrays we hand back
         k = self.k
+        act = self.activation
+        l2 = 2.0 * self.l2  # the penalty's gradient factor
         freeze_patience = self._freeze_patience
         freeze_tol = self._freeze_tol
         active = np.arange(k)
-        compacted = False  # once True, `cur` rows are copies, not `out`
-        cur = out
-        w_cur = weights
-        ms = [np.zeros_like(p) for p in cur]
-        vs = [np.zeros_like(p) for p in cur]
+        s = _ActiveSet(Xs, weights, out)
         m_best = np.full(k, np.inf)
         m_stale = np.zeros(k, dtype=np.int64)
         m_epochs = np.zeros(k, dtype=np.int64)
@@ -394,20 +388,26 @@ class EnsembleMLPRegressor:
         # float32 so the mean matches an all-members float32 reduction
         # exactly.
         all_loss = np.zeros(k, dtype=np.float32)
+        oof = None
+        if self.tracer.enabled and k > 1:
+            oof, all_oof = [], np.zeros(k, dtype=np.float32)
+        self._oof_curve = oof
         best = np.inf
         stale = 0
         stop_reason = "max_epochs"
         for step in range(1, self.epochs + 1):
-            W1, b1, W2, b2 = cur
-            member_loss, grads = self._backward(Xs, ys, w_cur, W1, b1, W2, b2)
+            member_loss = s.backward(Xs, ys, act, k, l2)
             all_loss[active] = member_loss
             loss = float(np.mean(all_loss))
             self.loss_curve_.append(loss)
+            if oof is not None:
+                all_oof[active] = s.held_out_loss()
+                oof.append(float(np.mean(all_oof)))
 
             # Members that have already converged don't pay for this step:
-            # `cur`/`ms`/`vs` only hold the active rows.
+            # the flat buffers only hold the active rows.
             adam_step(
-                cur, grads, ms, vs, step,
+                [s.P], [s.G], [s.M], [s.V], step,
                 self.lr, _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS,
             )
 
@@ -430,25 +430,18 @@ class EnsembleMLPRegressor:
             m_stale[active] = np.where(imp, 0, m_stale[active] + 1)
             ripe = m_stale[active] >= freeze_patience
             if ripe.any():
-                if compacted:
-                    # `cur` rows are detached copies; park the freshly
-                    # frozen members' weights back in the output stack.
-                    # (Pre-compaction `cur` IS `out`: already in place.)
-                    fidx = active[ripe]
-                    for full, c in zip(out, cur):
-                        full[fidx] = c[ripe]
+                # Park the freshly frozen members' weights in the output.
+                fidx = active[ripe]
+                for full, c in zip(out, s.params):
+                    full[fidx] = c[ripe]
                 keep = ~ripe
                 active = active[keep]
                 if active.size == 0:
                     stop_reason = "all_frozen"
                     break
-                cur = [c[keep] for c in cur]  # boolean mask -> new arrays
-                ms = [m[keep] for m in ms]
-                vs = [v[keep] for v in vs]
-                w_cur = w_cur[keep]
-                compacted = True
-        if compacted and active.size:
-            for full, c in zip(out, cur):
+                s = s.compact(Xs, keep)
+        if active.size:
+            for full, c in zip(out, s.params):
                 full[active] = c
         # Members still training at the stop ran every recorded epoch.
         m_epochs[active] = len(self.loss_curve_)
@@ -599,3 +592,126 @@ class EnsembleMLPRegressor:
         model._y_scaler.mean_ = data["y_mean"]
         model._y_scaler.scale_ = data["y_scale"]
         return model
+
+
+def _blocks(flat: np.ndarray, a: int, d: int, h: int) -> list:
+    """``[W1, b1, W2, b2]`` views of a flat buffer shaped like the
+    parameters of ``a`` members.
+
+    The blocks lie W1 | W2 | b1 | b2, so the two weight blocks (the L2
+    term's operands) are one contiguous prefix.
+    """
+    w1 = a * d * h
+    w2 = w1 + a * h
+    b1 = w2 + a * h
+    return [
+        flat[:w1].reshape(a, d, h),
+        flat[w2:b1].reshape(a, h),
+        flat[w1:w2].reshape(a, h),
+        flat[b1:],
+    ]
+
+
+class _ActiveSet:
+    """The members still training: their state and one epoch's buffers.
+
+    Parameters, gradients and both Adam moments are one flat float32
+    buffer each (``P``, ``G``, ``M``, ``V``, laid out as
+    :func:`_blocks`), so one ``adam_step`` call updates all four
+    arrays; ``params`` and ``grads`` are their ``[W1, b1, W2, b2]``
+    views.  The activation, derivative and delta buffers are
+    sample-major ``(n, a, h)`` — the bias add and the sum over samples
+    run over inner loops ``a * h`` long — and are viewed member-major
+    ``(a, n, h)`` for the per-member GEMMs.  Built when a fit starts and
+    rebuilt, smaller, by :meth:`compact` when members freeze; an epoch
+    allocates nothing of the sample count's size.
+    """
+
+    def __init__(self, Xs: np.ndarray, weights: np.ndarray, params) -> None:
+        n, d = Xs.shape
+        a, h = params[1].shape
+        self.shape = (a, d, h)
+        self.weights = weights
+        self.twice_weights = 2.0 * weights  # the loss gradient's factor
+        self.held_out_weights = None  # built by held_out_loss on demand
+        self.P = np.empty(a * (d * h + 2 * h + 1), dtype=np.float32)
+        self.params = _blocks(self.P, a, d, h)
+        for dst, src in zip(self.params, params):
+            dst[...] = src
+        self.G = np.empty_like(self.P)
+        self.grads = _blocks(self.G, a, d, h)
+        self.M = np.zeros_like(self.P)
+        self.V = np.zeros_like(self.P)
+        n_weights = a * (d * h + h)
+        self.P_weights = self.P[:n_weights]
+        self.G_weights = self.G[:n_weights]
+        self.penalty = np.empty(n_weights, dtype=np.float32)
+        self.A = np.empty((n, a, h), dtype=np.float32)
+        self.D = np.empty_like(self.A)
+        self.delta = np.empty_like(self.A)
+        self.err = np.empty((a, n), dtype=np.float32)
+        self.sq = np.empty_like(self.err)
+        self.delta2 = np.empty_like(self.err)
+        self.loss = np.empty(a, dtype=np.float32)
+
+    def compact(self, Xs: np.ndarray, keep: np.ndarray) -> "_ActiveSet":
+        """The set of the ``keep`` rows: parameters and Adam moments
+        carried over, work buffers allocated for the smaller set."""
+        nxt = _ActiveSet(Xs, self.weights[keep], [p[keep] for p in self.params])
+        for mine, theirs in ((self.M, nxt.M), (self.V, nxt.V)):
+            for dst, src in zip(
+                _blocks(theirs, *nxt.shape), _blocks(mine, *self.shape)
+            ):
+                dst[...] = src[keep]
+        return nxt
+
+    def backward(self, Xs, ys, act, k: int, l2: float) -> np.ndarray:
+        """One full-batch forward/backward; fills ``G`` and returns the
+        per-member weighted MSE (float32, one entry per active member).
+
+        The ufuncs, GEMMs and reductions of the allocating loop in its
+        order: the same bits.  ``k`` is the *full* ensemble size (the
+        member-average factor), so compaction leaves the surviving
+        members' gradients unchanged; ``l2`` is the penalty's gradient
+        factor (``2 * l2``, 0 for none).
+        """
+        W1, b1, W2, b2 = self.params
+        gW1, gb1, gW2, gb2 = self.grads
+        A, err, sq = self.A, self.err, self.sq
+        A_m = A.transpose(1, 0, 2)  # (a, n, h)
+        np.matmul(Xs, W1, out=A_m)
+        A += b1
+        act.value(A, out=A)
+        np.matmul(A_m, W2[:, :, None], out=err[:, :, None])
+        err += b2[:, None]
+        err -= ys  # (a, n)
+        np.multiply(self.weights, err, out=sq)
+        sq *= err
+        np.sum(sq, axis=1, out=self.loss)
+
+        # d loss / d pred, including the member average (1/k).
+        delta2 = np.multiply(self.twice_weights, err, out=self.delta2)
+        delta2 /= k
+        np.matmul(A_m.transpose(0, 2, 1), delta2[:, :, None], out=gW2[:, :, None])
+        np.sum(delta2, axis=1, out=gb2)
+        delta = np.multiply(delta2.T[:, :, None], W2, out=self.delta)  # (n, a, h)
+        delta *= act.derivative(A, out=self.D)
+        np.matmul(Xs.T, delta.transpose(1, 0, 2), out=gW1)  # -> (a, d, h)
+        np.sum(delta, axis=0, out=gb1)
+        if l2 > 0.0:
+            np.multiply(self.P_weights, l2, out=self.penalty)
+            self.G_weights += self.penalty
+        return self.loss
+
+    def held_out_loss(self) -> np.ndarray:
+        """Per-member MSE of the last forward pass over the rows each
+        member's fold leaves out (weight 0 in its loss), weighted like
+        the training loss: 1/|held out| on those rows."""
+        if self.held_out_weights is None:
+            held = self.weights == 0
+            self.held_out_weights = (
+                held / held.sum(axis=1, keepdims=True)
+            ).astype(np.float32)
+        np.multiply(self.held_out_weights, self.err, out=self.sq)
+        self.sq *= self.err
+        return np.sum(self.sq, axis=1)

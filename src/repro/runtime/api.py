@@ -45,7 +45,7 @@ from repro.simulator.noise import (
     MeasurementModel,
     compile_time,
 )
-from repro.simulator.validity import STAGE_BUILD, validate
+from repro.simulator.validity import STAGE_BUILD, ValidationResult, validate
 from repro.simulator.workload import WorkloadProfile
 
 
@@ -152,7 +152,12 @@ class Event:
 
 
 class Kernel:
-    """A built kernel, ready to enqueue."""
+    """A built kernel, ready to enqueue.
+
+    ``validation`` is the check :meth:`Program.build` ran on ``profile``
+    for the context's device; neither ever changes, so every launch
+    reuses it.
+    """
 
     def __init__(
         self,
@@ -160,11 +165,13 @@ class Kernel:
         spec: KernelSpec,
         config: Mapping,
         profile: WorkloadProfile,
+        validation: ValidationResult,
     ):
         self.context = context
         self.spec = spec
         self.config = config
         self.profile = profile
+        self.validation = validation
 
     def _fault_key(self) -> tuple:
         return (self.spec.name, self.spec.config_tuple(self.config))
@@ -194,7 +201,7 @@ class Kernel:
         """
         ctx = self.context
         device = ctx.device.spec
-        check = validate(self.profile, device)
+        check = self.validation
         if not check.valid:
             # Build-stage problems never reach here (Program.build raised),
             # so any failure at this point is a launch failure.
@@ -270,7 +277,7 @@ class Program:
                 ctx.ledger.failed_s += FAILED_BUILD_COST_S
                 raise TransientError("spurious build failure", stage="build")
         ctx.ledger.compile_s += compile_time(device, self.spec.unroll_of(self.config))
-        self._kernel = Kernel(ctx, self.spec, self.config, profile)
+        self._kernel = Kernel(ctx, self.spec, self.config, profile, check)
         return self._kernel
 
     @property

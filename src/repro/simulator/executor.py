@@ -249,16 +249,18 @@ class _LaunchTerms:
 def _launch_terms(
     batch: WorkloadBatch,
     device: DeviceSpec,
+    occ: OccupancyBatch,
     kernel_name: Optional[str],
     config_tuples: Optional[Sequence[tuple]],
     valid: np.ndarray,
 ) -> _LaunchTerms:
     """The launch-time pipeline: the one definition of a true time.
 
-    Jitter is drawn where ``valid`` holds when both ``kernel_name`` and
-    ``config_tuples`` are given, and is 1.0 everywhere else.
+    ``occ`` is the batch's occupancy (computed once per batch, for the
+    validity rules and these terms alike).  Jitter is drawn where
+    ``valid`` holds when both ``kernel_name`` and ``config_tuples`` are
+    given, and is 1.0 everywhere else.
     """
-    occ = compute_occupancy_batch(batch, device)
     comp = compute_time_batch(batch, device)
     mem = memory_time_batch(batch, device)
     mem_total = mem.total
@@ -299,9 +301,12 @@ def execute_batch(
     the per-configuration deterministic jitter (:func:`execute`'s
     ``jitter_key``); omitting them disables jitter, as an empty key does.
     """
-    stages = validate_batch(batch, device)
+    occ = compute_occupancy_batch(batch, device)
+    stages = validate_batch(batch, device, occ)
     valid = stages == STAGE_OK_CODE
-    total = _launch_terms(batch, device, kernel_name, config_tuples, valid).total
+    total = _launch_terms(
+        batch, device, occ, kernel_name, config_tuples, valid
+    ).total
     return BatchExecution(times=np.where(valid, total, np.nan), stages=stages)
 
 
@@ -319,13 +324,14 @@ def execute(
     with the resource that limits it, and every time term.
     """
     batch = WorkloadBatch.from_profiles([profile])
-    validate_row(batch, device).raise_if_invalid()
+    occ = compute_occupancy_batch(batch, device)
+    validate_row(batch, device, occ=occ).raise_if_invalid()
     kernel_name = config_tuples = None
     if jitter_key:
         kernel_name, config_tuple = jitter_key
         config_tuples = [tuple(config_tuple)]
     terms = _launch_terms(
-        batch, device, kernel_name, config_tuples, np.ones(1, dtype=bool)
+        batch, device, occ, kernel_name, config_tuples, np.ones(1, dtype=bool)
     )
     return ExecutionBreakdown(
         compute_time=float(terms.compute[0]),

@@ -19,6 +19,7 @@ of it that adds the reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -88,7 +89,11 @@ def _broken_rules(
     )
 
 
-def validate_batch(batch: WorkloadBatch, device: DeviceSpec) -> np.ndarray:
+def validate_batch(
+    batch: WorkloadBatch,
+    device: DeviceSpec,
+    occ: Optional[OccupancyBatch] = None,
+) -> np.ndarray:
     """Check whether launches can execute on ``device``: per-config
     integer stage codes.
 
@@ -106,17 +111,26 @@ def validate_batch(batch: WorkloadBatch, device: DeviceSpec) -> np.ndarray:
     and :data:`STAGE_LAUNCH_CODE` (2) for launch-stage failures.  The
     rules are checked in the order above, so build failures take
     precedence.
+
+    ``occ`` is the batch's :func:`compute_occupancy_batch`, when the
+    caller already has it (the launch pipeline needs it too).
     """
-    occ = compute_occupancy_batch(batch, device)
+    if occ is None:
+        occ = compute_occupancy_batch(batch, device)
     return _STAGE_CODE_OF_RULE[_broken_rules(batch, device, occ)]
 
 
 def validate_row(
-    batch: WorkloadBatch, device: DeviceSpec, i: int = 0
+    batch: WorkloadBatch,
+    device: DeviceSpec,
+    i: int = 0,
+    occ: Optional[OccupancyBatch] = None,
 ) -> ValidationResult:
     """Configuration ``i`` of ``batch`` checked by :func:`validate_batch`'s
-    rules, with the failing stage and a reason naming the broken limit."""
-    occ = compute_occupancy_batch(batch, device)
+    rules, with the failing stage and a reason naming the broken limit
+    (``occ`` as there)."""
+    if occ is None:
+        occ = compute_occupancy_batch(batch, device)
     rule = int(_broken_rules(batch, device, occ)[i])
     if rule == _RULE_OK:
         return VALID

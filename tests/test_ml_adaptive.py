@@ -26,14 +26,17 @@ from repro.ml.ensemble import (
 )
 from repro.ml.mlp import MLPRegressor
 from repro.ml.optimizers import Adam, adam_step
+from tests.ensemble_reference import EnsembleReference
 
 pytestmark = pytest.mark.ml
 
 
-class ClassicReference(EnsembleMLPRegressor):
+class ClassicReference(EnsembleReference):
     """The original global-stop trainer: all k members train until the
     *mean* loss plateaus.  Same preprocessing, fold weights and init as
-    the production ensemble (inherited ``fit``); only the loop differs."""
+    the production ensemble (inherited ``fit``); only the loop differs.
+    Its forward/backward pass is the allocating reference's
+    ``_backward``, kept verbatim in ``tests/ensemble_reference.py``."""
 
     def _train(self, Xs, ys, weights):
         ms = [np.zeros_like(p) for p in self._params]

@@ -291,6 +291,11 @@ class TestInstrumentedPipeline:
         assert epochs_traced[-1] == attrs["epochs_run"] - 1
         assert curve["attrs"]["downsampled"] == (len(losses) < attrs["epochs_run"])
         assert all(isinstance(l, float) for l in losses)
+        # The out-of-fold loss rides along at the same epochs.
+        oof_losses = curve["attrs"]["oof_losses"]
+        assert len(oof_losses) == len(epochs_traced)
+        assert all(isinstance(l, float) for l in oof_losses)
+        assert isinstance(attrs["final_oof_loss"], float)
         assert tracer.gauges["ml.early_stop_epoch"] == attrs["epochs_run"]
 
     def test_exhaustive_search_traces_checkpoints(self, spec, tmp_path):

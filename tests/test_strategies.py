@@ -1,5 +1,7 @@
 """Tests for the search-strategy zoo and the bandit meta-tuner."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -375,3 +377,65 @@ class TestLegacyWrapperParity:
 
     def test_choices_cover_zoo_plus_bandit(self):
         assert set(STRATEGY_CHOICES) == set(STRATEGIES) | {"bandit"}
+
+
+class TestCoordinateStartScan:
+    """The coordinate-descent start scan checks validity in growing
+    windows; it must find what one whole-scan ``valid_mask`` finds."""
+
+    @staticmethod
+    def whole_scan(strategy, seed):
+        """The whole-scan rule: (start index or None, n_probed, RNG)."""
+        rng = np.random.default_rng(seed)
+        sub = strategy.sub
+        scan = sub.sample_flat(min(strategy.scan_limit, sub.size), rng)
+        valid = np.flatnonzero(strategy.measurer.valid_mask(scan))
+        if valid.size == 0:
+            return None, len(scan), rng
+        return int(scan[valid[0]]), int(valid[0]) + 1, rng
+
+    @pytest.mark.parametrize("kernel", ["convolution", "raycasting", "stereo"])
+    @pytest.mark.parametrize(
+        "pins",
+        [{}, {"wg_x": 32, "wg_y": 32}, {"wg_x": 128, "wg_y": 128}],
+        ids=["free", "sparse", "all-invalid"],
+    )
+    def test_matches_whole_scan_rule(self, kernel, pins):
+        from repro.core.strategies import CoordinateDescentStrategy
+        from repro.kernels import get_benchmark
+
+        measurer = _measurer(spec=get_benchmark(kernel))
+        settings = SearchSettings(pins=pins)
+        for seed in range(40):
+            strategy = CoordinateDescentStrategy(measurer, settings)
+            want_start, want_probed, want_rng = self.whole_scan(strategy, seed)
+            rng = np.random.default_rng(seed)
+            got = strategy.propose(rng, 64)
+            assert strategy.n_probed == want_probed
+            if want_start is None:
+                assert got.size == 0 and strategy.exhausted()
+            else:
+                assert got.tolist() == [want_start]
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("first", [0, 3, 4, 19, 20, 83, 84, 199, None])
+    def test_windows_stop_at_first_valid(self, first):
+        """Every window boundary, with a measurer stub whose one valid
+        scan position is ``first`` (None: no valid sample)."""
+        from repro.core.strategies import CoordinateDescentStrategy
+
+        strategy = CoordinateDescentStrategy(_measurer(), SearchSettings())
+        scan = strategy.sub.sample_flat(200, np.random.default_rng(0))
+        valid_index = None if first is None else int(scan[first])
+        windows = []
+
+        def valid_mask(indices):
+            windows.append(len(indices))
+            return np.asarray(indices) == valid_index
+
+        strategy.measurer = SimpleNamespace(valid_mask=valid_mask)
+        assert strategy._first_valid(scan) == first
+        sizes = [4, 16, 64, 116]
+        ends = np.cumsum(sizes)
+        n_windows = 4 if first is None else int(np.searchsorted(ends, first, "right")) + 1
+        assert windows == sizes[:n_windows]
